@@ -50,6 +50,13 @@ pub(crate) fn current_worker() -> Option<&'static Worker> {
 ///   resumed code observes a different KLT and retries (the disable landed
 ///   on the stale worker, deferring one tick there — benign).
 ///
+/// The same re-read decides what a null `klt.worker` means. A KLT-switching
+/// ULT preempted right after sampling `klt` can come back on another KLT
+/// (its handler continuation honours a deferred tick with a cooperative
+/// yield), by which time `klt` sits in the pool with no worker: that is a
+/// stale sample to retry, not "outside the runtime" — returning `None`
+/// there left the caller unpinned while it believed otherwise.
+///
 /// On success, preemption is left DISABLED; the caller must re-enable
 /// (directly or via the ULT prologue on its resume path).
 #[inline]
@@ -58,10 +65,19 @@ pub(crate) fn pin_current_worker() -> Option<&'static Worker> {
     loop {
         let klt = crate::klt::current_klt()?;
         let wp = klt.worker.load(Ordering::Acquire);
+        let still_here = || crate::klt::current_klt().is_some_and(|now| std::ptr::eq(now, klt));
         // SAFETY: workers live as long as the runtime.
-        let w = unsafe { wp.as_ref() }?;
+        let Some(w) = (unsafe { wp.as_ref() }) else {
+            // No worker on this KLT — unless the caller has moved off `klt`
+            // since it was sampled (preempted, then resumed elsewhere) and
+            // `klt` has gone back to the pool meanwhile: sample again.
+            if still_here() {
+                return None;
+            }
+            continue;
+        };
         w.preempt_disable();
-        if crate::klt::current_klt().is_some_and(|now| std::ptr::eq(now, klt))
+        if still_here()
             && klt.worker.load(Ordering::Acquire) == wp
             && std::ptr::eq(w.current_klt.load(Ordering::Acquire), klt)
         {
@@ -69,6 +85,26 @@ pub(crate) fn pin_current_worker() -> Option<&'static Worker> {
         }
         w.preempt_enable();
         core::hint::spin_loop();
+    }
+}
+
+/// Pin the calling ULT to its worker until the matching [`preempt_enable`]:
+/// ticks that arrive in between are deferred to the ULT's next scheduling
+/// point. For the few instructions during which a ULT holds a spin lock
+/// that `block_current` registrations also take — those run pinned, so a
+/// holder preempted in front of them would never get to release it. Nests;
+/// a no-op outside the runtime. The section must not suspend.
+// sigsafe
+pub fn preempt_disable() {
+    let _ = pin_current_worker();
+}
+
+/// End the section opened by [`preempt_disable`].
+// sigsafe
+pub fn preempt_enable() {
+    // Pinned since the matching disable, so this is the same worker.
+    if let Some(w) = current_worker() {
+        w.preempt_enable();
     }
 }
 
@@ -96,8 +132,15 @@ pub fn current_worker_rank() -> Option<usize> {
 
 /// One raw cooperative yield: suspend the current ULT, re-enqueue it, run
 /// the scheduler. No pending-tick recheck (callers use [`yield_now`]).
+///
+/// `deferred` marks the yield that stands in for a tick which arrived
+/// inside a pinned section. A KLT-switching ULT does not take that one: it
+/// may only lose the CPU captive on its own KLT (paper §3.1.2), and a
+/// cooperatively saved context is resumed by whichever KLT embodies the
+/// worker next — the ULT would come back on another kernel thread. It
+/// keeps running until the next tick preempts it the proper way.
 // sigsafe
-pub(crate) fn yield_core() {
+pub(crate) fn yield_core(deferred: bool) {
     let Some(w) = pin_current_worker() else {
         std::thread::yield_now();
         return;
@@ -109,6 +152,10 @@ pub(crate) fn yield_core() {
     }
     // SAFETY: the running ULT is kept alive by its scheduler's Arc binding.
     let t: &Ult = unsafe { &*cur };
+    if deferred && t.kind == crate::thread::ThreadKind::KltSwitching {
+        w.preempt_enable();
+        return;
+    }
     w.set_reason(SwitchReason::Yielded);
     // SAFETY: scheduler context is suspended at its switch into us.
     unsafe {
@@ -135,7 +182,7 @@ pub(crate) fn ult_prologue_finish() {
         if !w.preempt_pending.swap(false, Ordering::AcqRel) {
             return;
         }
-        yield_core();
+        yield_core(true);
     }
 }
 
@@ -143,7 +190,7 @@ pub(crate) fn ult_prologue_finish() {
 /// traditional M:N threads, paper §2.2). A no-op outside the runtime (falls
 /// back to `std::thread::yield_now`).
 pub fn yield_now() {
-    yield_core();
+    yield_core(false);
     ult_prologue_finish();
 }
 

@@ -94,6 +94,13 @@ pub mod ev {
     /// These are low-frequency state changes (not per-tick) and made the
     /// elided-flag/disarmed-timer divergence diagnosable from the ring.
     pub const TICKOP: u64 = 16;
+    /// Readiness-driven preemption (ult=site id, aux=worker rank). Sites:
+    /// 1 = watcher signalled the worker, 2 = watcher sent nothing (worker
+    /// parked in its shard or nothing preemptible running), 3 = the
+    /// handler acted on the kick, 4 = the scheduler's forced poll consumed
+    /// it. A request that waited for the tick shows as a missing 1 (shard
+    /// not watched) or a 1 without its 3 (signal lost or deferred).
+    pub const IOKICK: u64 = 17;
 }
 
 const EN: usize = 4096;

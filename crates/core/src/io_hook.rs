@@ -38,6 +38,20 @@
 //! parker observes the token (skips the epoll park entirely and rescans).
 //! The doorbell write is a raw `write(2)` on an eventfd, so the kick is
 //! async-signal-safe and `unpark` stays callable from preemption handlers.
+//!
+//! # Busy workers: the watch
+//!
+//! A worker that never idles services its shard at dispatch boundaries
+//! (`maybe_poll`), and under preemption those are a tick apart. So that fd
+//! readiness does not wait for the tick, every dispatch that keeps the tick
+//! armed over a shard with waiters also calls [`IoHooks::watch`]: the
+//! reactor's watcher thread then sleeps on the shard's epoll fd and answers
+//! readiness with [`io_kick`] — the ordinary preemption signal, marked
+//! (`Worker::io_kick`) so that the handler treats it as due and the next
+//! `maybe_poll` ignores its rate limit. The watcher is not a runtime thread
+//! and outlives every runtime; [`io_kick`] resolves its target through the
+//! table of live runtimes and holds that table's lock while it signals, so
+//! a runtime that has left the table is never signalled again.
 
 use crate::runtime::RuntimeInner;
 use crate::worker::Worker;
@@ -68,13 +82,19 @@ pub struct IoShardStats {
     pub bufpool_hits: u64,
     /// Buffer-pool acquisitions that had to allocate.
     pub bufpool_misses: u64,
+    /// Times a busy worker handed this shard to the watcher ([`IoHooks::watch`]
+    /// found it unwatched and armed it).
+    pub watch_arms: u64,
+    /// Watcher wake-ups that sent no signal: the owner was parked in its own
+    /// `epoll_wait`, had nothing preemptible running, or its runtime was gone.
+    pub watch_skips: u64,
 }
 
 /// Reactor entry points registered by `ult-io`. All take the worker rank
 /// they operate on behalf of; the reactor maps ranks to shards.
 ///
-/// All of these run on runtime worker KLTs. `park`/`poll` are called from
-/// scheduler context only (never from signal handlers); `wake` must be
+/// All of these run on runtime worker KLTs. `park`/`poll`/`watch` are called
+/// from scheduler context only (never from signal handlers); `wake` must be
 /// async-signal-safe.
 #[derive(Debug)]
 pub struct IoHooks {
@@ -91,9 +111,9 @@ pub struct IoHooks {
     pub wake: fn(r: usize),
     /// Opportunistic non-blocking poll of shard `r` from busy scheduler
     /// loops, so I/O and timers are serviced even when no worker ever goes
-    /// idle. The implementation rate-limits itself; callers invoke it every
-    /// loop.
-    pub poll: fn(r: usize),
+    /// idle. The implementation rate-limits itself unless `force` is set;
+    /// callers invoke it every loop.
+    pub poll: fn(r: usize, force: bool),
     /// Counter snapshot for shard `r` (zeros for a never-touched shard).
     pub shard_stats: fn(r: usize) -> IoShardStats,
     /// Does shard `r` hold armed fd interest or pending timer deadlines?
@@ -104,6 +124,12 @@ pub struct IoHooks {
     /// itself the only thing that could end the monopoly — a deadlock).
     /// Cheap (two atomic loads) and never creates a shard.
     pub pending: fn(r: usize) -> bool,
+    /// Have the watcher thread look at shard `r` while the calling worker is
+    /// busy: when one of the shard's fds becomes ready it calls [`io_kick`]
+    /// with `owner` (a nonzero token naming the calling worker), once, and
+    /// the watch is spent until armed again. One atomic load when the shard
+    /// is already watched.
+    pub watch: fn(r: usize, owner: u64),
 }
 
 /// Registered hook table (null until `ult-io` initializes).
@@ -130,11 +156,52 @@ fn hooks() -> Option<&'static IoHooks> {
 }
 
 /// Scheduler-loop poll site: service this worker's shard opportunistically.
+/// A pending [`io_kick`] is consumed here and lifts the rate limit once.
 #[inline]
 pub(crate) fn maybe_poll(w: &Worker) {
     if let Some(h) = hooks() {
-        (h.poll)(w.rank);
+        let kicked = w.io_kick.load(Ordering::Acquire) && w.io_kick.swap(false, Ordering::AcqRel);
+        if kicked {
+            crate::debug_registry::event(crate::debug_registry::ev::IOKICK, 4, w.rank as u64);
+        }
+        (h.poll)(w.rank, kicked);
     }
+}
+
+/// Dispatch-time watch site: `w` is about to run a ULT it can only get the
+/// CPU back from by a tick, and its shard has waiters.
+#[inline]
+pub(crate) fn watch(rt: &RuntimeInner, w: &Worker) {
+    if let Some(h) = hooks() {
+        (h.watch)(w.rank, rt.id << OWNER_RANK_BITS | w.rank as u64);
+    }
+}
+
+/// Low bits of a watch-owner token that hold the worker rank (`Config`
+/// caps workers at 4096); the runtime id sits above them.
+const OWNER_RANK_BITS: u32 = 16;
+
+/// Watcher callback: a fd of the shard that `owner` (the token passed to
+/// [`IoHooks::watch`]) armed is ready. Preempt that worker so that its
+/// scheduler polls the shard now instead of at its next tick. Returns
+/// whether a signal was sent; `false` means the worker needs none (it is
+/// parked in the shard's own `epoll_wait`, or runs nothing preemptible and
+/// polls at its next dispatch) or its runtime has shut down.
+///
+/// Called from the watcher thread only: takes a KLT-blocking lock.
+pub fn io_kick(owner: u64) -> bool {
+    let live = crate::runtime::LIVE.lock();
+    let Some(&(_, rt)) = live.iter().find(|(id, _)| *id == owner >> OWNER_RANK_BITS) else {
+        return false;
+    };
+    // SAFETY: a runtime is in LIVE from before its workers run until
+    // `shutdown_impl` removes it, which needs the lock held here; its
+    // workers and their KLTs outlive that.
+    let rt = unsafe { &*(rt as *const RuntimeInner) };
+    let rank = (owner & ((1 << OWNER_RANK_BITS) - 1)) as usize;
+    rt.workers
+        .get(rank)
+        .is_some_and(|w| crate::preempt::io_kick(w))
 }
 
 /// Reactor stats for shard `r`, if a reactor is registered.
@@ -217,9 +284,10 @@ pub fn kick_worker(r: usize) {
             w.unpark();
             // The owner may instead be *busy* with an elided tick (it ran
             // out of other work before this waiter was armed). Restore its
-            // tick so dispatch boundaries — the only place a busy worker
-            // services its shard — keep happening; without this the waiter
-            // just armed could go unserviced indefinitely.
+            // tick so dispatch boundaries — where a busy worker services
+            // its shard and hands it to the watcher — keep happening;
+            // without this the waiter just armed could go unserviced
+            // indefinitely.
             crate::sched::rearm_on_push(me.runtime(), w, false);
         }
     }

@@ -64,10 +64,13 @@ pub(crate) mod worker;
 
 pub use api::{
     block_current, blocking_pool_limits, current_thread_id, current_thread_kind,
-    current_worker_rank, in_ult, make_ready, yield_now, SpawnAttrs,
+    current_worker_rank, in_ult, make_ready, preempt_disable, preempt_enable, yield_now,
+    SpawnAttrs,
 };
 pub use config::{Config, KltParkMode, KltPoolPolicy, SchedPolicy};
-pub use io_hook::{kick_worker, reactor_wait_done, register_io_hooks, IoHooks, IoShardStats};
+pub use io_hook::{
+    io_kick, kick_worker, reactor_wait_done, register_io_hooks, IoHooks, IoShardStats,
+};
 pub use preempt::timer::TimerStrategy;
 pub use runtime::Runtime;
 pub use stats::RuntimeStats;

@@ -171,8 +171,13 @@ pub(crate) extern "C" fn preempt_handler(
     // (2× resolution, precomputed) makes the early verdict sound. Deadline
     // 0 means the interval is too small for the coarse clock to judge and
     // the precise echo filter in `maybe_preempt` decides alone.
+    // An I/O kick is never early; its sender cleared the deadline, but a
+    // dispatch in between may have published a new one.
     let deadline = w.preempt_deadline_ns.load(Ordering::Acquire);
-    if deadline != 0 && now_coarse_ns().saturating_add(rt.coarse_slack_ns) < deadline {
+    if deadline != 0
+        && !w.io_kick.load(Ordering::Acquire)
+        && now_coarse_ns().saturating_add(rt.coarse_slack_ns) < deadline
+    {
         w.stats.filtered_ticks.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -248,6 +253,29 @@ enum SendOutcome {
     Failed,
 }
 
+/// The reactor watcher's preemption (`io_hook::io_kick`, which holds the
+/// lock that keeps `w`'s runtime alive): a fd of `w`'s shard is ready, so
+/// take the CPU from `w`'s occupant now instead of at the next tick. The
+/// flag and the cleared deadline are published before the signal, so the
+/// handler it runs finds the tick due. Returns whether a signal was sent.
+/// When none is — nothing preemptible is running, so the tick is elided or
+/// the worker is between ULTs — the flag still makes the worker's next
+/// `maybe_poll` ignore its rate limit; a worker parked in the shard's own
+/// `epoll_wait` is woken by the same readiness and needs neither.
+pub(crate) fn io_kick(w: &Worker) -> bool {
+    let sent = !w.reactor_park.load(Ordering::SeqCst) && {
+        w.io_kick.store(true, Ordering::Release);
+        w.preempt_deadline_ns.store(0, Ordering::Release);
+        try_send_tick(w, preempt_signum()) == SendOutcome::Sent
+    };
+    crate::debug_registry::event(
+        crate::debug_registry::ev::IOKICK,
+        if sent { 1 } else { 2 },
+        w.rank as u64,
+    );
+    sent
+}
+
 /// Try to send `sig` to `other`'s current KLT if its running thread is
 /// preemptive and its tick is not elided. Reads only the `current_kind`
 /// mirror — never dereferences the remote `current` pointer (the remote
@@ -306,9 +334,20 @@ fn maybe_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t_enter: u64, uc: *mu
     // Quantum-aware: with adaptive quanta a shrunk quantum must not have
     // its floor ticks bounced by a filter sized for the base tick.
     let interval = w.quantum_ns(rt).max(1);
-    if now.saturating_sub(last) < interval / 2 {
+    // An I/O kick is due whenever it arrives: the reactor's watcher saw a
+    // fd of this worker's shard become ready, and the scheduler we switch
+    // to polls it first thing (`maybe_poll` consumes the flag). Over a
+    // Latency occupant the kick counts as an ordinary tick: that ULT is
+    // short by contract and would re-queue behind everything else, so the
+    // poll waits for it to block — the flag stays set for that.
+    let kicked = w.io_kick.load(Ordering::Acquire) && t.class != crate::thread::SchedClass::Latency;
+    if !kicked && now.saturating_sub(last) < interval / 2 {
         w.stats.suppressed_ticks.fetch_add(1, Ordering::Relaxed);
         return;
+    }
+    if kicked && t.kind != crate::thread::ThreadKind::Nonpreemptive {
+        w.stats.io_preempts.fetch_add(1, Ordering::Relaxed);
+        crate::debug_registry::event(crate::debug_registry::ev::IOKICK, 3, w.rank as u64);
     }
 
     // This tick will act: account expirations the kernel merged while the

@@ -18,8 +18,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use ult_arch::{Context, Stack};
 
+/// Runtimes whose workers the reactor's watcher thread may signal, as
+/// `(RuntimeInner::id, address)`. The watcher and its watch slots are
+/// process-global and outlive every runtime, so `io_hook::io_kick` looks its
+/// target up here and signals with the lock held; `shutdown_impl` removes the
+/// entry before any KLT exits, after which a stale watch slot finds nothing.
+pub(crate) static LIVE: Mutex<Vec<(u64, usize)>> = Mutex::new(Vec::new());
+/// Source of `RuntimeInner::id`; starts at 1 so a watch-owner token is nonzero.
+static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1); // ordering: counter
+
 /// Shared runtime state (everything the schedulers and handlers touch).
 pub(crate) struct RuntimeInner {
+    /// Process-unique id, never reused (key into [`LIVE`]).
+    pub id: u64,
     /// The validated configuration.
     pub config: Config,
     /// All workers, indexed by rank.
@@ -65,6 +76,58 @@ pub(crate) struct RuntimeInner {
 }
 
 impl RuntimeInner {
+    /// The runtime's state for `config` — workers, pools, timers — with no
+    /// thread started yet ([`Runtime::start`] does that).
+    pub(crate) fn new(config: Config) -> Arc<RuntimeInner> {
+        let config = config.validated().expect("invalid Config");
+
+        let n = config.num_workers;
+        let local_cap = match config.klt_pool_policy {
+            KltPoolPolicy::GlobalOnly => 0,
+            KltPoolPolicy::WorkerLocal => 4,
+        };
+        let workers: Box<[Arc<Worker>]> = (0..n)
+            .map(|rank| {
+                Worker::new(
+                    rank,
+                    config.initial_pool_capacity,
+                    config.stat_samples,
+                    local_cap,
+                )
+            })
+            .collect();
+
+        // Warm the coarse-clock resolution cache while no handler can run;
+        // afterwards `coarse_resolution_ns()` is a single atomic load.
+        let coarse_slack_ns = 2 * ult_sys::coarse_resolution_ns();
+        let tick_elision = config.preempt_interval_ns > 0
+            && config.timer_strategy != crate::preempt::timer::TimerStrategy::None;
+
+        let inner = Arc::new(RuntimeInner {
+            id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
+            timers: TimerSet::new(n),
+            tick_elision,
+            coarse_slack_ns,
+            global_klts: KltPool::new(usize::MAX),
+            creator: KltCreator::new(),
+            shutdown: AtomicBool::new(false),
+            active_workers: AtomicUsize::new(n),
+            live_ults: AtomicUsize::new(0),
+            next_ult_id: AtomicU64::new(1),
+            pool_reserve_mark: AtomicUsize::new(config.initial_pool_capacity),
+            spawn_rr: AtomicUsize::new(0),
+            stack_cache: Mutex::new(Vec::new()),
+            klt_registry: Mutex::new(Vec::new()),
+            thread_handles: Mutex::new(Vec::new()),
+            workers,
+            config,
+        });
+        for w in inner.workers.iter() {
+            w.rt.store(Arc::as_ptr(&inner) as *mut RuntimeInner, Ordering::Release);
+        }
+        inner
+    }
+
     /// Reserve pool capacity so signal handlers can always push without
     /// allocating (see `pool.rs` module docs).
     pub(crate) fn ensure_pool_capacity(&self, live: usize) {
@@ -483,52 +546,9 @@ pub struct Runtime {
 impl Runtime {
     /// Start a runtime with `config`.
     pub fn start(config: Config) -> Runtime {
-        let config = config.validated().expect("invalid Config");
         crate::preempt::install_handlers();
-
-        let n = config.num_workers;
-        let local_cap = match config.klt_pool_policy {
-            KltPoolPolicy::GlobalOnly => 0,
-            KltPoolPolicy::WorkerLocal => 4,
-        };
-        let workers: Box<[Arc<Worker>]> = (0..n)
-            .map(|rank| {
-                Worker::new(
-                    rank,
-                    config.initial_pool_capacity,
-                    config.stat_samples,
-                    local_cap,
-                )
-            })
-            .collect();
-
-        // Warm the coarse-clock resolution cache while no handler can run;
-        // afterwards `coarse_resolution_ns()` is a single atomic load.
-        let coarse_slack_ns = 2 * ult_sys::coarse_resolution_ns();
-        let tick_elision = config.preempt_interval_ns > 0
-            && config.timer_strategy != crate::preempt::timer::TimerStrategy::None;
-
-        let inner = Arc::new(RuntimeInner {
-            timers: TimerSet::new(n),
-            tick_elision,
-            coarse_slack_ns,
-            global_klts: KltPool::new(usize::MAX),
-            creator: KltCreator::new(),
-            shutdown: AtomicBool::new(false),
-            active_workers: AtomicUsize::new(n),
-            live_ults: AtomicUsize::new(0),
-            next_ult_id: AtomicU64::new(1),
-            pool_reserve_mark: AtomicUsize::new(config.initial_pool_capacity),
-            spawn_rr: AtomicUsize::new(0),
-            stack_cache: Mutex::new(Vec::new()),
-            klt_registry: Mutex::new(Vec::new()),
-            thread_handles: Mutex::new(Vec::new()),
-            workers,
-            config,
-        });
-        for w in inner.workers.iter() {
-            w.rt.store(Arc::as_ptr(&inner) as *mut RuntimeInner, Ordering::Release);
-        }
+        let inner = RuntimeInner::new(config);
+        LIVE.lock().push((inner.id, Arc::as_ptr(&inner) as usize));
 
         // The creator thread.
         {
@@ -687,6 +707,7 @@ impl Runtime {
             s.quantum_stretches += w.stats.quantum_stretches.load(Ordering::Relaxed);
             s.latency_dispatches += w.stats.latency_dispatches.load(Ordering::Relaxed);
             s.throughput_dispatches += w.stats.throughput_dispatches.load(Ordering::Relaxed);
+            s.io_preempts += w.stats.io_preempts.load(Ordering::Relaxed);
             s.interrupt_samples_ns
                 .extend(w.stats.interrupt_ns.snapshot());
             let io = crate::io_hook::shard_stats(w.rank);
@@ -699,6 +720,8 @@ impl Runtime {
             s.io_accepted += io.accepted;
             s.io_bufpool_hits += io.bufpool_hits;
             s.io_bufpool_misses += io.bufpool_misses;
+            s.io_watch_arms += io.watch_arms;
+            s.io_watch_skips += io.watch_skips;
         }
         s.klts_created = self.inner.creator.created.load(Ordering::Relaxed) as u64;
         // Process-global (ult-sync sits above ult-core, so its primitives
@@ -787,6 +810,9 @@ impl Runtime {
             }
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
+        // Out of the watcher's reach first: once this returns no kick is in
+        // flight and none can start, so no signal chases an exited KLT.
+        LIVE.lock().retain(|&(id, _)| id != rt.id);
         // Stop timers before tearing down KLTs (no more ticks).
         rt.timers.disarm_all();
         // Signal shutdown and wake everything.

@@ -37,6 +37,15 @@ pub(crate) fn pick(rt: &RuntimeInner, w: &Worker) -> Option<Arc<Ult>> {
 /// the deque's CAS-free owner push; otherwise the push goes through the
 /// pool's lock-free remote inbox.
 ///
+/// A `Latency`-class arrival (`wake`: a spawn or an unblock, not the
+/// scheduler's own yield re-enqueue) takes the inbox even when `local`,
+/// because the inbox is the lane `take_latency_inbox` serves ahead of the
+/// deque: the reactor delivers readiness on the worker's own scheduler
+/// context, and an owner push there would queue the woken handler behind
+/// every ULT already in the deque. A `Latency` ULT that had the CPU and
+/// gave it up — yielded here, preempted in [`on_preempted`] — goes to the
+/// back like everyone else, so it cannot starve its peers.
+///
 /// Wake policy (load-bearing): the owner of the pool that received the
 /// push is ALWAYS unparked, unconditionally. Waking "some idle worker"
 /// based on idle-flag scans loses wakeups — two quick pushes can both
@@ -49,9 +58,10 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
     t.ready_at_ns
         .store(ult_sys::clock::now_coarse_ns(), Ordering::Relaxed);
     let latency = t.class == SchedClass::Latency;
+    let owner_push = local && !(latency && wake);
     match rt.config.sched_policy {
         SchedPolicy::WorkStealing => {
-            if local {
+            if owner_push {
                 w.pool.push(t);
             } else {
                 w.pool.push_remote(t);
@@ -71,7 +81,7 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
             let home = t.home_pool;
             let hw = &rt.workers[home];
             let self_push = local && home == w.rank;
-            if self_push {
+            if self_push && owner_push {
                 hw.pool.push(t);
             } else {
                 hw.pool.push_remote(t);
@@ -111,7 +121,7 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
         SchedPolicy::Priority => {
             match t.priority {
                 Priority::High => {
-                    if local {
+                    if owner_push {
                         w.pool.push(t);
                     } else {
                         w.pool.push_remote(t);
@@ -470,4 +480,76 @@ fn pick_priority(rt: &RuntimeInner, w: &Worker) -> Option<Arc<Ult>> {
     // Low-priority: local LIFO only (locality; analysis threads are pinned
     // to their worker's queue as in the paper's LAMMPS setup).
     w.lo_pool.pop_lifo()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::thread::ThreadKind;
+
+    fn ult(id: u64, class: SchedClass) -> Arc<Ult> {
+        Ult::new(
+            id,
+            ThreadKind::SignalYield,
+            Priority::High,
+            class,
+            0,
+            ult_arch::Stack::new(ult_arch::stack::MIN_STACK_SIZE).unwrap(),
+            Box::new(|| {}),
+        )
+    }
+
+    /// One worker's routing, driven from the test thread standing in for
+    /// its scheduler context (no KLT is started).
+    fn pick_order(policy: SchedPolicy, route: impl Fn(&RuntimeInner, &Worker)) -> Vec<u64> {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            sched_policy: policy,
+            ..crate::Config::default()
+        });
+        let w = &rt.workers[0];
+        for id in [1, 2] {
+            on_ready(&rt, w, ult(id, SchedClass::Normal), true, true);
+        }
+        route(&rt, w);
+        std::iter::from_fn(|| pick(&rt, w)).map(|t| t.id).collect()
+    }
+
+    #[test]
+    fn local_latency_wakeup_is_picked_first_and_a_preempted_one_is_not() {
+        let lat = || ult(3, SchedClass::Latency);
+        for policy in [
+            SchedPolicy::WorkStealing,
+            SchedPolicy::Packing,
+            SchedPolicy::Priority,
+        ] {
+            // Unblocked (or spawned) on its own worker: ahead of the queue.
+            let woken = pick_order(policy, |rt, w| on_ready(rt, w, lat(), true, true));
+            assert_eq!(woken, [3, 1, 2], "{policy:?}");
+            // Had the CPU and lost it or gave it up: behind the queue.
+            let preempted = pick_order(policy, |rt, w| on_preempted(rt, w, lat()));
+            assert_eq!(preempted, [1, 2, 3], "{policy:?}");
+            let yielded = pick_order(policy, |rt, w| on_ready(rt, w, lat(), false, true));
+            assert_eq!(yielded, [1, 2, 3], "{policy:?}");
+            // Other classes keep their place whatever made them ready.
+            let normal = pick_order(policy, |rt, w| {
+                on_ready(rt, w, ult(3, SchedClass::Normal), true, true)
+            });
+            assert_eq!(normal, [1, 2, 3], "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn latency_count_is_exact_across_the_local_inbox_route() {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            ..crate::Config::default()
+        });
+        let w = &rt.workers[0];
+        assert!(!w.pool.has_latency());
+        on_ready(&rt, w, ult(1, SchedClass::Latency), true, true);
+        assert!(w.pool.has_latency());
+        assert_eq!(pick(&rt, w).unwrap().id, 1);
+        assert!(!w.pool.has_latency());
+    }
 }

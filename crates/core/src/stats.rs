@@ -118,6 +118,9 @@ pub struct WorkerStats {
     pub latency_dispatches: AtomicU64, // ordering: counter
     /// Dispatches of `SchedClass::Throughput` ULTs on this worker.
     pub throughput_dispatches: AtomicU64, // ordering: counter
+    /// Preemptions caused by the reactor watcher (`io_hook::io_kick`): fd
+    /// readiness took the CPU from this worker's occupant ahead of the tick.
+    pub io_preempts: AtomicU64, // ordering: counter
     /// Interruption-time samples (handler entry → switch/return), ns.
     pub interrupt_ns: SampleRing,
 }
@@ -147,6 +150,7 @@ impl WorkerStats {
             quantum_stretches: AtomicU64::new(0),
             latency_dispatches: AtomicU64::new(0),
             throughput_dispatches: AtomicU64::new(0),
+            io_preempts: AtomicU64::new(0),
             interrupt_ns: SampleRing::new(samples),
         }
     }
@@ -265,6 +269,9 @@ pub struct RuntimeStats {
     pub latency_dispatches: u64,
     /// Dispatches of throughput-class ULTs.
     pub throughput_dispatches: u64,
+    /// Preemptions caused by fd readiness (the reactor watcher's kick)
+    /// rather than by a timer tick.
+    pub io_preempts: u64,
     /// MCS mutex: lock handoffs published to a queued successor
     /// (process-global; see [`sync_counters`]).
     pub mcs_handoffs: u64,
@@ -301,6 +308,11 @@ pub struct RuntimeStats {
     pub io_bufpool_hits: u64,
     /// Reactor: I/O buffer acquisitions that had to allocate.
     pub io_bufpool_misses: u64,
+    /// Reactor: times a busy worker handed its shard to the watcher thread.
+    pub io_watch_arms: u64,
+    /// Reactor: watcher wake-ups that needed no signal (owner parked in its
+    /// own `epoll_wait`, nothing preemptible running, or runtime gone).
+    pub io_watch_skips: u64,
     /// All interruption samples (ns), concatenated across workers.
     pub interrupt_samples_ns: Vec<u64>,
 }

@@ -139,6 +139,13 @@ pub(crate) struct Worker {
     /// matching quantum (model: `quantum_publish_vs_handler`).
     // ordering: acqrel quantum published before the deadline store; the handler reads deadline then quantum
     pub cur_quantum_ns: AtomicU64,
+    /// The reactor's watcher found this worker's shard ready
+    /// (`io_hook::io_kick`). While set, a preemption tick is due whatever
+    /// the filters say, and the scheduler's next `maybe_poll` — which clears
+    /// it — polls whatever the rate limit says. The kicker stores it before
+    /// it sends the signal, so the handler that signal runs sees it.
+    // ordering: acqrel set by the watcher before its tgkill, read by the handler, swapped clear by the scheduler's poll
+    pub io_kick: AtomicBool,
     /// Per-worker statistics (interruption samples, counts).
     pub stats: WorkerStats,
     /// RNG state for steal-victim selection (xorshift; scheduler-only).
@@ -192,6 +199,7 @@ impl Worker {
             tick_elided: AtomicBool::new(false),
             preempt_deadline_ns: AtomicU64::new(0),
             cur_quantum_ns: AtomicU64::new(0),
+            io_kick: AtomicBool::new(false),
             stats: WorkerStats::new(stat_samples),
             steal_seed: AtomicU64::new(0x9E3779B97F4A7C15 ^ (rank as u64 + 1)),
             pack_phase: AtomicBool::new(false),
@@ -495,19 +503,29 @@ fn update_tick_state(rt: &RuntimeInner, w: &Worker, t: &Ult) {
     }
     let preemptive = t.kind != ThreadKind::Nonpreemptive;
     // A reactor shard holding armed waiters (fd interest or wheel
-    // deadlines) counts as work: dispatch boundaries are the only place a
-    // busy worker services its shard, and the waiter's own wake is the
-    // only other event that could ever end the occupant's monopoly.
-    // Eliding (or staying elided) here would deadlock e.g. a solo spinner
-    // plus a ULT sleeping on this shard's wheel — the block that armed the
-    // waiter caused this very dispatch, so checking at every dispatch
-    // closes the arm-after-elide window. (An idle worker still elides: its
-    // epoll park serves the shard with a kernel timeout.)
-    if preemptive && (crate::sched::has_any_work(rt, w) || crate::io_hook::shard_pending(w)) {
+    // deadlines) counts as work: a tick is what gives a busy worker the
+    // dispatch boundaries at which it services its shard, and the waiter's
+    // own wake is the only other event that could ever end the occupant's
+    // monopoly. Eliding (or staying elided) here would deadlock e.g. a solo
+    // spinner plus a ULT sleeping on this shard's wheel — the block that
+    // armed the waiter caused this very dispatch, so checking at every
+    // dispatch closes the arm-after-elide window. (An idle worker still
+    // elides: its epoll park serves the shard with a kernel timeout.)
+    let shard_pending = preemptive && crate::io_hook::shard_pending(w);
+    if preemptive && (shard_pending || crate::sched::has_any_work(rt, w)) {
         if w.tick_elided.swap(false, Ordering::SeqCst) {
             rt.timers.rearm_worker(rt, w);
             crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 4, w.rank as u64);
             w.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
+        }
+        // Whoever needs a timer to get the CPU back also needs the watcher
+        // to get its shard looked at before that timer fires. Not under a
+        // Latency occupant: it is short by contract, readiness found while
+        // it runs could only send it to the back of the queue, and the fd
+        // that woke it stays readable (sticky interest) until it has read,
+        // which would fire the watch at once.
+        if shard_pending && t.class != SchedClass::Latency {
+            crate::io_hook::watch(rt, w);
         }
     } else if preemptive {
         try_elide(rt, w);
@@ -567,10 +585,11 @@ fn scheduler_loop(w: &Worker) -> ! {
 
         // Service the reactor opportunistically (no-op branch until
         // `ult-io` registers hooks): with every worker busy on compute,
-        // dispatch boundaries are the only points where fd readiness and
-        // timer deadlines can be turned into ready ULTs — under preemption
-        // their spacing is bounded by the tick interval, which is exactly
-        // the serving-latency story bench_echo measures.
+        // dispatch boundaries are where fd readiness and timer deadlines
+        // are turned into ready ULTs. Under preemption their spacing is
+        // bounded by the tick interval; fd readiness does not wait that
+        // long, because the reactor's watcher preempts the occupant
+        // (`io_hook::io_kick`) and this poll then runs at once.
         crate::io_hook::maybe_poll(w);
 
         // Pick work according to the configured policy.

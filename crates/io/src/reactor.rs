@@ -24,11 +24,19 @@
 //! * **wake(r)** — ring shard `r`'s doorbell (an async-signal-safe eventfd
 //!   write); called by `Worker::unpark` when its target is shard-parked,
 //!   and by deadline inserts that become a shard's new earliest.
-//! * **poll(r)** — a rate-limited zero-timeout service pass of shard `r`
-//!   from busy scheduler loops, so fds and timers make progress even when
-//!   worker `r` never idles. Under preemption its cadence is bounded by
-//!   the tick interval — the mechanism behind bench_echo's tail-latency
-//!   story.
+//! * **poll(r, force)** — a zero-timeout service pass of shard `r` from
+//!   busy scheduler loops, rate-limited unless forced, so fds and timers
+//!   make progress even when worker `r` never idles. Under preemption its
+//!   cadence is bounded by the tick interval, which is what wheel deadlines
+//!   on a busy worker get.
+//! * **watch(r, owner)** — fd readiness on a busy worker does not wait for
+//!   that tick. One process-global **watcher** thread blocks on a
+//!   meta-epoll holding every watched shard's epoll fd (`EPOLLIN |
+//!   EPOLLONESHOT`: an epoll fd reads ready while any fd armed in it is).
+//!   A busy worker arms the watch at each dispatch that leaves it a tick
+//!   to wait for; when the shard turns ready the watcher clears the watch
+//!   and then has `ult_core::io_kick` preempt the worker, whose scheduler
+//!   runs a forced poll. See [the state table](#the-watch).
 //!
 //! # fd-to-shard affinity
 //!
@@ -61,6 +69,27 @@
 //! waiter claim CAS (see [`crate::TimedWaiter`]) arbitrates the race
 //! against a concurrent deadline expiry. Doorbells follow the same no-MOD
 //! rule: draining the eventfd clears readiness at the source.
+//!
+//! # The watch
+//!
+//! `Shard::watch_owner` is 0 (unwatched) or the token of the worker that
+//! armed the watch; the kernel's one-shot interest on the shard's epoll fd
+//! is armed exactly while it is nonzero, give or take the two steps below.
+//!
+//! | who | step | then |
+//! |---|---|---|
+//! | worker, at dispatch | sees 0, CASes its token in, `EPOLL_CTL_MOD` | armed; a shard already ready fires at once |
+//! | worker, at dispatch | sees nonzero | nothing (one load) |
+//! | watcher, on the event | swaps 0 in, *then* `io_kick(token)` | spent; the kicked worker's next dispatch arms again |
+//!
+//! Clear-then-signal is the order that matters: were the watcher to signal
+//! first, the preempted worker could reach its next dispatch, see the
+//! token still there, skip the arm, and then lose the watch to the late
+//! clear — unwatched until the next tick (`ult-model`:
+//! `watch_arm_vs_fire`). A kick that finds nothing to preempt (worker
+//! parked in this shard, or between ULTs) sends no signal; the worker
+//! polls at its next dispatch anyway and arms again there. The tick stays
+//! armed throughout and bounds every miss.
 
 use crate::waiter::TimedWaiter;
 use crate::wheel::TimerWheel;
@@ -68,7 +97,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ult_sys::epoll::{Epoll, Event, EV_READ, EV_WRITE};
 use ult_sys::eventfd::EventFd;
 
@@ -169,6 +198,12 @@ pub(crate) struct Shard {
     armed: AtomicUsize, // ordering: seqcst park-decision count (see note_armed)
     /// Earliest monotonic-ns instant the next opportunistic poll may run.
     next_poll_ns: AtomicU64, // ordering: relaxed rate-limit slot
+    /// 0, or the `ult_core` token of the worker on whose behalf the watcher
+    /// has this shard's epoll fd armed (see "The watch" in the module docs).
+    // ordering: acqrel arm CAS 0->token before EPOLL_CTL_MOD; the watcher's swap to 0 precedes its signal
+    watch_owner: AtomicU64,
+    watch_arms: AtomicU64,        // ordering: counter
+    watch_skips: AtomicU64,       // ordering: counter
     polls: AtomicU64,             // ordering: counter
     parks: AtomicU64,             // ordering: counter
     doorbell_rings: AtomicU64,    // ordering: counter
@@ -194,6 +229,7 @@ static HOOKS: ult_core::IoHooks = ult_core::IoHooks {
     poll: poll_hook,
     shard_stats: stats_hook,
     pending: pending_hook,
+    watch: watch_hook,
 };
 
 /// Shard `i`, created (and the hook table registered) on first use. Never
@@ -235,6 +271,9 @@ fn init_shard(i: usize) -> &'static Shard {
         wheel: TimerWheel::new(),
         armed: AtomicUsize::new(0),
         next_poll_ns: AtomicU64::new(0),
+        watch_owner: AtomicU64::new(0),
+        watch_arms: AtomicU64::new(0),
+        watch_skips: AtomicU64::new(0),
         polls: AtomicU64::new(0),
         parks: AtomicU64::new(0),
         doorbell_rings: AtomicU64::new(0),
@@ -299,23 +338,36 @@ fn park_hook(r: usize) -> bool {
 // (see `park_hook`).
 // sigsafe
 fn wake_hook(r: usize) {
-    let n = NSHARDS.load(Ordering::Acquire);
-    if n == 0 {
-        return; // no shard exists yet, so nobody is epoll-parked
-    }
-    let p = SHARDS[(r % n) % MAX_SHARDS].load(Ordering::Acquire);
-    // SAFETY: published shard pointers are leaked boxes, valid forever.
-    if let Some(sh) = unsafe { p.as_ref() } {
+    if let Some(sh) = existing_shard(r) {
         sh.doorbell_rings.fetch_add(1, Ordering::Relaxed);
         sh.doorbell.signal();
     }
 }
 
-fn poll_hook(r: usize) {
+/// Rank `r`'s shard if it has been created: two loads, never creates one
+/// and never fixes the shard count (a null slot means nothing was ever
+/// armed or parked there).
+// sigsafe
+fn existing_shard(r: usize) -> Option<&'static Shard> {
+    let n = NSHARDS.load(Ordering::Acquire);
+    if n == 0 {
+        return None;
+    }
+    let p = SHARDS[(r % n) % MAX_SHARDS].load(Ordering::Acquire);
+    // SAFETY: published shard pointers are leaked boxes, valid forever.
+    unsafe { p.as_ref() }
+}
+
+fn poll_hook(r: usize, force: bool) {
     let sh = shard(shard_index(r));
     let now = ult_sys::now_ns();
     let next = sh.next_poll_ns.load(Ordering::Relaxed);
-    if now < next
+    if force {
+        // The watcher saw this shard ready: poll now, whenever the last
+        // poll was, and start the rate limit over from here.
+        sh.next_poll_ns
+            .store(now + POLL_INTERVAL_NS, Ordering::Relaxed);
+    } else if now < next
         || sh
             .next_poll_ns
             .compare_exchange(
@@ -334,21 +386,79 @@ fn poll_hook(r: usize) {
 /// Armed fd interest or pending wheel deadlines on rank `r`'s shard?
 /// Consulted by the core's tick-elision state machine at every dispatch
 /// (see `IoHooks::pending`): a busy worker must keep its tick while its
-/// shard has live waiters, because opportunistic polls at dispatch
-/// boundaries are the only way those waiters ever fire. Never creates a
-/// shard — a null slot means nothing was ever armed there.
+/// shard has live waiters, because the polls at its dispatch boundaries
+/// are what fires them (the watcher only brings such a boundary forward).
 fn pending_hook(r: usize) -> bool {
-    let n = NSHARDS.load(Ordering::Acquire);
-    if n == 0 {
-        return false;
+    existing_shard(r).is_some_and(|sh| {
+        sh.armed.load(Ordering::SeqCst) > 0 || sh.wheel.next_timeout_ms(ult_sys::now_ns()) >= 0
+    })
+}
+
+/// The watcher's meta-epoll: every watched shard's epoll fd, one-shot,
+/// tokened by shard index. Created, with its thread, by the first arm, so
+/// a process whose workers never run busy over a pending shard has neither.
+static WATCHER: OnceLock<&'static Epoll> = OnceLock::new();
+
+/// Arm the watch on rank `r`'s shard for `owner` unless it is armed already
+/// (see "The watch" in the module docs). Scheduler context, every dispatch
+/// of a busy worker: the common case is the one load.
+fn watch_hook(r: usize, owner: u64) {
+    let Some(sh) = existing_shard(r) else { return };
+    if sh.watch_owner.load(Ordering::Acquire) != 0
+        || sh
+            .watch_owner
+            .compare_exchange(0, owner, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+    {
+        return;
     }
-    let p = SHARDS[(r % n) % MAX_SHARDS].load(Ordering::Acquire);
-    // SAFETY: published shard pointers are leaked boxes, valid forever.
-    match unsafe { p.as_ref() } {
-        Some(sh) => {
-            sh.armed.load(Ordering::SeqCst) > 0 || sh.wheel.next_timeout_ms(ult_sys::now_ns()) >= 0
+    sh.watch_arms.fetch_add(1, Ordering::Relaxed);
+    let meta = *WATCHER.get_or_init(start_watcher);
+    let (fd, token) = (sh.ep.raw_fd(), sh.idx as u64);
+    // One-shot re-arm; a shard the watcher has never seen is added instead.
+    if meta.modify(fd, libc::EPOLLIN, token).is_err() && meta.add(fd, libc::EPOLLIN, token).is_err()
+    {
+        // Not armed after all: let the next dispatch try again. Until then
+        // this shard is polled at ticks only, as it is without a watcher.
+        sh.watch_owner.store(0, Ordering::Release);
+    }
+}
+
+#[cold]
+fn start_watcher() -> &'static Epoll {
+    // Leaked like the shards: it serves every runtime the process starts.
+    let meta: &'static Epoll = Box::leak(Box::new(
+        Epoll::new().expect("epoll_create1 for the reactor watcher"),
+    ));
+    // The stack holds one event buffer and the kick's call chain.
+    std::thread::Builder::new()
+        .name("ult-io-watcher".into())
+        .stack_size(64 * 1024)
+        .spawn(move || watcher_main(meta))
+        .expect("spawn the reactor watcher");
+    meta
+}
+
+/// The watcher thread: sleep until a watched shard has a ready fd, then
+/// clear that shard's watch and only then kick the worker that armed it.
+// blocking: klt
+fn watcher_main(meta: &'static Epoll) -> ! {
+    let mut evs = [Event {
+        events: 0,
+        token: 0,
+    }; 8];
+    loop {
+        // An error here leaves nothing to wait on: a live epoll fd and a
+        // valid buffer can only fail with EINTR, which `wait` absorbs.
+        let n = meta.wait(&mut evs, -1).expect("reactor watcher epoll_wait");
+        for ev in &evs[..n] {
+            // The token is the index of the shard whose arm registered it.
+            let sh = shard(ev.token as usize);
+            let owner = sh.watch_owner.swap(0, Ordering::AcqRel);
+            if owner != 0 && !ult_core::io_kick(owner) {
+                sh.watch_skips.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        None => false,
     }
 }
 
@@ -383,6 +493,8 @@ fn stats_hook(r: usize) -> ult_core::IoShardStats {
         accepted: sh.accepted.load(Ordering::Relaxed),
         bufpool_hits,
         bufpool_misses,
+        watch_arms: sh.watch_arms.load(Ordering::Relaxed),
+        watch_skips: sh.watch_skips.load(Ordering::Relaxed),
     }
 }
 

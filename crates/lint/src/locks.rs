@@ -3,7 +3,8 @@
 //!
 //! Declarations are found lexically: an `Ident(":") SpinLock` sequence —
 //! a struct field or `static` whose declared type's final path segment is
-//! `SpinLock` — registers a spin lock under the field/static name.
+//! `SpinLock` — registers a spin lock under the field/static name
+//! (`WaitLock`, `ult-sync`'s pinning wrapper around one, counts as well).
 //! Constructor uses (`SpinLock::new`) and reference-typed parameters
 //! (`&SpinLock<T>`) are not declarations. The same shape with `Mutex` in a
 //! file that imports a KLT-parking mutex (`parking_lot` or
@@ -31,6 +32,8 @@ pub(crate) struct SpinDecl {
     /// Raw `// lock-order:` spec (`"1 alpha"`) from the declaration line
     /// or the line above, if any.
     pub(crate) order: Option<String>,
+    /// Declared as `WaitLock`: acquiring it pins the ULT first.
+    pub(crate) pinning: bool,
 }
 
 /// Lock names seen across the scanned sources.
@@ -60,7 +63,7 @@ pub(crate) fn scan_locks(sources: &[(PathBuf, String)]) -> LockRegistry {
             let Tok::Ident(ty) = &toks[i].tok else {
                 continue;
             };
-            let is_spin = ty == "SpinLock";
+            let is_spin = ty == "SpinLock" || ty == "WaitLock";
             let is_klt = ty == "Mutex" && klt_mutex_file;
             if !is_spin && !is_klt {
                 continue;
@@ -83,6 +86,7 @@ pub(crate) fn scan_locks(sources: &[(PathBuf, String)]) -> LockRegistry {
                     line,
                     name,
                     order,
+                    pinning: ty == "WaitLock",
                 });
             } else {
                 reg.klt_names.insert(name);

@@ -27,6 +27,13 @@
 //! `crates/io` waits). `// pin-ok: <reason>` waives a site;
 //! `pindiscipline_waivers.txt` waives by function with budget/staleness
 //! hygiene.
+//!
+//! One declaration rule rides along: `crates/sync` may not declare a raw
+//! `SpinLock`. Its primitives take their internal lock both from
+//! `block_current` registrations (pinned) and from wake-up paths that any
+//! preemptive ULT runs; unless those pin too, a holder preempted in front
+//! of a registration wedges the worker. `WaitLock` pins in `lock()`, so the
+//! rule is the type, checked where the lock is declared.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -181,9 +188,30 @@ pub fn check(sources: &[(PathBuf, String)], waivers: &Waivers) -> Vec<Diagnostic
         }
     }
 
-    // Lexical live-range walk per function.
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut matched: HashSet<usize> = HashSet::new();
+
+    // Declaration rule: no raw spin lock inside a ULT-blocking primitive.
+    for d in &locks.decls {
+        let f = &scans[d.file];
+        let waived =
+            f.pin_ok.contains_key(&d.line) || (d.line > 1 && f.pin_ok.contains_key(&(d.line - 1)));
+        if d.pinning || waived || crate::blocking::crate_dir(&f.path).as_deref() != Some("sync") {
+            continue;
+        }
+        diags.push(Diagnostic {
+            file: f.path.clone(),
+            line: d.line,
+            category: Category::Pin,
+            message: format!(
+                "`{}` is a raw `SpinLock` in ult-sync: wake-up paths would hold it preemptibly \
+                 while `block_current` registrations take it pinned; declare it `WaitLock`",
+                d.name
+            ),
+        });
+    }
+
+    // Lexical live-range walk per function.
     for (fi, f) in scans.iter().enumerate() {
         if !pass_scoped(&f.path) {
             continue;
@@ -363,6 +391,41 @@ mod tests {
             &Waivers::empty(),
         );
         assert!(d.is_empty(), "{d:#?}");
+    }
+
+    #[test]
+    fn raw_spin_lock_in_ult_sync_is_flagged() {
+        let check_at = |path: &str, src: &str| {
+            check(&[(PathBuf::from(path), src.to_string())], &Waivers::empty())
+        };
+        let raw = "struct Sem {\n    lock: SpinLock,\n}\n";
+        let d = check_at("crates/sync/src/sem.rs", raw);
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!((d[0].category, d[0].line), (Category::Pin, 2));
+        assert!(d[0].message.contains("WaitLock"), "{}", d[0].message);
+        // The pinning wrapper, a waived declaration and other crates pass.
+        assert!(check_at(
+            "crates/sync/src/sem.rs",
+            "struct Sem {\n    lock: WaitLock,\n}\n"
+        )
+        .is_empty());
+        let waived = "struct W {\n    // pin-ok: lock() pins first\n    raw: SpinLock,\n}\n";
+        assert!(check_at("crates/sync/src/lib.rs", waived).is_empty());
+        assert!(check_at("crates/core/src/thread.rs", raw).is_empty());
+    }
+
+    #[test]
+    fn wait_lock_guard_still_forbids_suspension() {
+        let d = check(
+            &srcs(
+                "struct Q { lock: WaitLock }\n\
+                 impl Q {\nfn drain(&self) {\n    self.lock.lock();\n    futex_park();\n    \
+                 self.lock.unlock();\n}\n}\n\
+                 // blocking: klt\nfn futex_park() { }\n",
+            ),
+            &Waivers::empty(),
+        );
+        assert_eq!(d.len(), 1, "{d:#?}");
     }
 
     #[test]

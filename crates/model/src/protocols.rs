@@ -31,6 +31,11 @@
 //!   vs a non-owner publishing the shard's first armed waiter and kicking
 //!   (`reactor::note_armed` / `ult_core::kick_worker`).
 //!
+//! * [`watch_arm_vs_fire`] — the reactor watcher's one-shot watch
+//!   (`reactor::watch_hook` vs `reactor::watcher_main`): a busy worker arms
+//!   an unwatched shard at dispatch; the watcher clears the watch and only
+//!   then signals, so the dispatch its signal causes arms again.
+//!
 //! Every scenario keeps the concurrent window to a handful of operations
 //! per thread: the explorer is exhaustive and pays for every extra op.
 
@@ -777,6 +782,52 @@ pub fn tick_elide_vs_push(weaken: bool) -> (usize, bool) {
         s.work.load(Ordering::Acquire),
         s.elided.load(Ordering::Acquire),
     )
+}
+
+// ---------------------------------------------------------------------------
+// Reactor watcher: arm at dispatch vs clear-then-signal on fire
+// ---------------------------------------------------------------------------
+
+/// The watch on one reactor shard, from the instant its one-shot interest
+/// has fired (`owner` still names the worker, the kernel side is spent).
+/// The watcher half (`reactor::watcher_main`) swaps `watch_owner` to 0 and
+/// *then* kicks the worker — `io_kick`'s flag store and `tgkill`, one
+/// Release store here. The worker half is the dispatch that kick causes
+/// (`reactor::watch_hook` from `update_tick_state`): it only runs once the
+/// signal is visible, arms when it finds the shard unwatched (load, CAS,
+/// `EPOLL_CTL_MOD`) and otherwise trusts the watch it sees.
+///
+/// Returns `(dispatched, armed)` at quiescence. `(true, false)` is the
+/// failure: the worker is past its dispatch and running its next ULT for a
+/// whole quantum, the shard has waiters, and nobody watches it — readiness
+/// waits for the tick again. Unreachable with the faithful order; `faithful
+/// = false` signals before it clears, which lets the dispatch see the stale
+/// owner, skip the arm, and lose the watch to the late clear.
+pub fn watch_arm_vs_fire(faithful: bool) -> (bool, bool) {
+    let owner = Arc::new(AtomicUsize::new(1));
+    let signal = Arc::new(AtomicBool::new(false));
+    let armed = Arc::new(AtomicBool::new(false));
+    let (o2, s2) = (owner.clone(), signal.clone());
+    let watcher = thread::spawn(move || {
+        if faithful {
+            o2.swap(0, Ordering::AcqRel);
+            s2.store(true, Ordering::Release);
+        } else {
+            s2.store(true, Ordering::Release);
+            o2.swap(0, Ordering::AcqRel);
+        }
+    });
+    let dispatched = signal.load(Ordering::Acquire);
+    if dispatched
+        && owner.load(Ordering::Acquire) == 0
+        && owner
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    {
+        armed.store(true, Ordering::Release);
+    }
+    watcher.join();
+    (dispatched, armed.load(Ordering::Acquire))
 }
 
 // ---------------------------------------------------------------------------

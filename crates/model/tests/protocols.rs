@@ -239,6 +239,33 @@ fn mutation_is_caught_by_the_explorer() {
     );
 }
 
+/// Clear-then-signal: the dispatch a watcher kick causes always finds the
+/// shard unwatched and arms it again.
+#[test]
+fn watch_is_rearmed_by_the_dispatch_its_kick_causes() {
+    let outs = ult_model::outcomes(|| protocols::watch_arm_vs_fire(true));
+    assert!(
+        !outs.contains(&(true, false)),
+        "worker dispatched past a spent watch without arming it: {outs:?}"
+    );
+    assert!(
+        outs.contains(&(true, true)),
+        "dispatch never modelled: {outs:?}"
+    );
+}
+
+/// Signal-then-clear loses the watch: the dispatch trusts the stale owner
+/// and the late clear leaves the shard unwatched until the next tick — the
+/// model reaches that state, so the test above has teeth.
+#[test]
+fn signal_before_clear_leaves_the_shard_unwatched() {
+    let outs = ult_model::outcomes(|| protocols::watch_arm_vs_fire(false));
+    assert!(
+        outs.contains(&(true, false)),
+        "signal-then-clear should reach the unwatched state: {outs:?}"
+    );
+}
+
 /// The faithful quantum-publish pairing: a handler observing the cleared
 /// deadline always observes the shrunk floor quantum.
 #[test]

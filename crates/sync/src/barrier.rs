@@ -7,16 +7,15 @@
 //! [`SpinMode::Yielding`] reproduces the authors' reverse-engineered MKL
 //! patch that inserts an explicit yield into the wait loop.
 
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use ult_core::pool::SpinLock;
 
 /// A reusable blocking barrier for a fixed party count.
 pub struct Barrier {
     parties: usize,
     // lock-order: 43 barrier_waiters
-    lock: SpinLock,
+    lock: WaitLock,
     waiters: UnsafeCell<WaitList>,
     arrived: AtomicUsize,
     generation: AtomicUsize,
@@ -32,7 +31,7 @@ impl Barrier {
         assert!(parties >= 1);
         Barrier {
             parties,
-            lock: SpinLock::new(),
+            lock: WaitLock::new(),
             waiters: UnsafeCell::new(WaitList::new()),
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),

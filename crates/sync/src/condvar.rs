@@ -1,16 +1,15 @@
 //! A ULT-blocking condition variable paired with [`crate::Mutex`].
 
 use crate::mutex::{Mutex, MutexGuard};
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
-use ult_core::pool::SpinLock;
 
 /// Condition variable: `wait` releases the mutex and parks the ULT;
 /// `notify_one`/`notify_all` reschedule waiters. Callable from outside the
 /// runtime too (falls back to an epoch-watch spin with OS yields).
 pub struct Condvar {
     // lock-order: 30 condvar_waiters
-    lock: SpinLock,
+    lock: WaitLock,
     waiters: UnsafeCell<WaitList>,
     /// Bumped on every notify; non-ULT waiters watch it.
     epoch: std::sync::atomic::AtomicUsize,
@@ -30,7 +29,7 @@ impl Condvar {
     /// New condition variable with no waiters.
     pub fn new() -> Condvar {
         Condvar {
-            lock: SpinLock::new(),
+            lock: WaitLock::new(),
             waiters: UnsafeCell::new(WaitList::new()),
             epoch: std::sync::atomic::AtomicUsize::new(0),
         }

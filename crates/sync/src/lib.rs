@@ -44,8 +44,44 @@ pub(crate) mod waitlist {
 
     use std::collections::VecDeque;
     use std::sync::Arc;
+    use ult_core::pool::SpinLock;
     use ult_core::thread::Ult;
     use ult_io::TimedWaiter;
+
+    /// The short lock a primitive keeps around its [`WaitList`]: a spin
+    /// lock whose holder is pinned to its worker. A waiter registers from
+    /// inside `block_current`, where no tick can preempt it; a wake-up
+    /// path (unlock, notify, release) that took the same lock preemptibly
+    /// and lost the CPU while holding it would leave that waiter's worker
+    /// spinning with nothing able to run the holder again.
+    #[derive(Default)]
+    pub struct WaitLock {
+        // pin-ok: the one raw spin lock in this crate; `lock` pins before it spins
+        raw: SpinLock, // lock-order-ok: ranked by the field that wraps it
+    }
+
+    impl WaitLock {
+        /// New, unlocked.
+        pub const fn new() -> WaitLock {
+            WaitLock {
+                raw: SpinLock::new(),
+            }
+        }
+
+        /// Pin the calling ULT, then acquire.
+        #[inline]
+        pub fn lock(&self) {
+            ult_core::preempt_disable();
+            self.raw.lock();
+        }
+
+        /// Release, then unpin.
+        #[inline]
+        pub fn unlock(&self) {
+            self.raw.unlock();
+            ult_core::preempt_enable();
+        }
+    }
 
     /// One parked waiter.
     ///

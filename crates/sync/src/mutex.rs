@@ -4,11 +4,10 @@
 //! ULTs); uncontended lock/unlock is two atomic operations. Called from
 //! outside the runtime the lock degrades to spinning with OS yields.
 
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
-use ult_core::pool::SpinLock;
 
 /// A mutual-exclusion lock that blocks at ULT granularity.
 pub struct Mutex<T: ?Sized> {
@@ -16,7 +15,7 @@ pub struct Mutex<T: ?Sized> {
     state: AtomicU32,
     /// Internal short lock protecting the waiter list.
     // lock-order: 40 mutex_waiters
-    wait_lock: SpinLock,
+    wait_lock: WaitLock,
     waiters: UnsafeCell<WaitList>,
     data: UnsafeCell<T>,
 }
@@ -37,7 +36,7 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Mutex<T> {
         Mutex {
             state: AtomicU32::new(0),
-            wait_lock: SpinLock::new(),
+            wait_lock: WaitLock::new(),
             waiters: UnsafeCell::new(WaitList::new()),
             data: UnsafeCell::new(value),
         }

@@ -1,10 +1,9 @@
 //! A ULT-blocking readers–writer lock (write-preferring).
 
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, Ordering};
-use ult_core::pool::SpinLock;
 
 /// Reader–writer lock: many concurrent readers or one writer, blocking at
 /// ULT granularity. Writers are preferred (new readers queue behind a
@@ -14,7 +13,7 @@ pub struct RwLock<T: ?Sized> {
     /// >0: reader count; 0: free; -1: write-locked.
     state: AtomicI64,
     // lock-order: 41 rwlock_waiters
-    lock: SpinLock,
+    lock: WaitLock,
     read_waiters: UnsafeCell<WaitList>,
     write_waiters: UnsafeCell<WaitList>,
     data: UnsafeCell<T>,
@@ -41,7 +40,7 @@ impl<T> RwLock<T> {
     pub fn new(value: T) -> RwLock<T> {
         RwLock {
             state: AtomicI64::new(0),
-            lock: SpinLock::new(),
+            lock: WaitLock::new(),
             read_waiters: UnsafeCell::new(WaitList::new()),
             write_waiters: UnsafeCell::new(WaitList::new()),
             data: UnsafeCell::new(value),

@@ -1,15 +1,14 @@
 //! A counting semaphore blocking at ULT granularity.
 
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicIsize, Ordering};
-use ult_core::pool::SpinLock;
 
 /// Counting semaphore: `acquire` parks the ULT when no permits remain.
 pub struct Semaphore {
     permits: AtomicIsize,
     // lock-order: 42 semaphore_waiters
-    lock: SpinLock,
+    lock: WaitLock,
     waiters: UnsafeCell<WaitList>,
 }
 
@@ -22,7 +21,7 @@ impl Semaphore {
     pub fn new(permits: usize) -> Semaphore {
         Semaphore {
             permits: AtomicIsize::new(permits as isize),
-            lock: SpinLock::new(),
+            lock: WaitLock::new(),
             waiters: UnsafeCell::new(WaitList::new()),
         }
     }

@@ -5,17 +5,16 @@
 //! with a single `wait` — the fork-join pattern whose cheapness is the
 //! selling point of M:N threads (paper §2.1).
 
-use crate::waitlist::WaitList;
+use crate::waitlist::{WaitList, WaitLock};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicIsize, Ordering};
-use ult_core::pool::SpinLock;
 
 /// Completion counter: `add` before forking, `done` in each task, `wait`
 /// parks until the count returns to zero.
 pub struct WaitGroup {
     count: AtomicIsize,
     // lock-order: 44 waitgroup_waiters
-    lock: SpinLock,
+    lock: WaitLock,
     waiters: UnsafeCell<WaitList>,
 }
 
@@ -34,7 +33,7 @@ impl WaitGroup {
     pub fn new() -> WaitGroup {
         WaitGroup {
             count: AtomicIsize::new(0),
-            lock: SpinLock::new(),
+            lock: WaitLock::new(),
             waiters: UnsafeCell::new(WaitList::new()),
         }
     }

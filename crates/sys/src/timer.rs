@@ -219,6 +219,14 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static TICKS: AtomicUsize = AtomicUsize::new(0);
+    /// The timer tests share `TICKS` and one signal number, and the harness
+    /// runs them on parallel threads: one test's timer must not tick into
+    /// another's quiescence check.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     extern "C" fn tick_handler(_sig: i32) {
         TICKS.fetch_add(1, Ordering::SeqCst);
@@ -230,6 +238,7 @@ mod tests {
 
     #[test]
     fn per_thread_timer_ticks() {
+        let _serial = serial();
         install_handler(test_sig(), tick_handler).unwrap();
         let before = TICKS.load(Ordering::SeqCst);
         let t = IntervalTimer::per_thread(gettid(), test_sig(), 1_000_000, 0).unwrap();
@@ -243,6 +252,7 @@ mod tests {
 
     #[test]
     fn disarm_stops_ticks() {
+        let _serial = serial();
         install_handler(test_sig(), tick_handler).unwrap();
         let t = IntervalTimer::per_thread(gettid(), test_sig(), 500_000, 0).unwrap();
         let start = std::time::Instant::now();
@@ -279,6 +289,7 @@ mod tests {
 
     #[test]
     fn per_process_timer_ticks() {
+        let _serial = serial();
         install_handler(test_sig(), tick_handler).unwrap();
         let before = TICKS.load(Ordering::SeqCst);
         let t = IntervalTimer::per_process(test_sig(), 1_000_000, 0).unwrap();

@@ -26,6 +26,21 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
+echo "== stress: sync primitives under preemption and the busy-worker echo, 20x, one CPU and all"
+# Both are races by nature (a tick inside a few-instruction window; a kick
+# racing a dispatch), and the one-CPU interleavings differ from the rest.
+cargo test -q -p integration-tests --no-run
+for pin in "taskset -c 0" ""; do
+    for _ in $(seq 20); do
+        $pin cargo test -q -p integration-tests --test integration \
+            sync_primitives_survive_preemptive_ults
+        $pin cargo test -q -p integration-tests --test io busy_worker_echo_beats_the_tick
+    done
+done
+# The watcher's clear-then-signal order: faithful never loses the watch,
+# signal-then-clear provably does.
+cargo test -q -p ult-model --test protocols watch
+
 echo "== async: future executor, waker edge cases, offload pool"
 cargo test -q -p ult-future
 cargo test -q -p integration-tests --test future
@@ -60,6 +75,18 @@ echo "== perf smoke: adaptive quantum tail latency (2x ratio floor, 10% tput bud
 echo "== perf smoke: async task tax + offload-pool saturation ping (2x tripwire)"
 ./target/release/bench_async --quick --out results/BENCH_async.json \
     --check results/BENCH_async_baseline.json
+
+echo "== benchmark smoke: echo_busy and echo_idle, 2 s each, by the BENCHMARK.json command"
+BENCH_CMD=$(python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
+for w in echo_busy echo_idle; do
+    out=$($BENCH_CMD --workload "$w" --seed 7 --seconds 2 --trace 0 | tail -1)
+    echo "$w: $out"
+    case "$out" in
+        *'"correct": true'*) ;;
+        *) echo "benchmark $w: correct != true" >&2; exit 1 ;;
+    esac
+done
+
 run() {
     local name="$1"; shift
     echo "== $name"

@@ -63,6 +63,81 @@ fn klt_local_state_preserved_by_klt_switching() {
     rt.shutdown();
 }
 
+/// Preemptive ULTs on `ult-sync` primitives. The unlock and notify paths
+/// take a primitive's internal spin lock outside `block_current`; a ULT
+/// preempted while holding it used to leave a worker spinning on that lock
+/// inside a pinned section — with one worker, in front of the holder.
+#[test]
+fn sync_primitives_survive_preemptive_ults() {
+    const ROUNDS: usize = 20;
+    // A tick only preempts a ULT that has run half a quantum without
+    // blocking, so the ping-pong is windowed: a side sends a whole window
+    // (one `notify_one` each) before it waits for the other.
+    const WINDOW: u64 = 512;
+    const WINDOWS: u64 = 40;
+    const LOCKERS: u64 = 3;
+    const LOCKS_EACH: u64 = 20_000;
+
+    // A wedged runtime cannot be joined or dropped, so the watchdog ends
+    // the process instead of failing the test.
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let watchdog = std::thread::spawn(move || {
+        if done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .is_err()
+        {
+            eprintln!("sync_primitives_survive_preemptive_ults: wedged, aborting");
+            std::process::abort();
+        }
+    });
+
+    for round in 0..ROUNDS {
+        let kind = [ThreadKind::SignalYield, ThreadKind::KltSwitching][round % 2];
+        let workers = 1 + (round / 2) % 2;
+        let rt = Runtime::start(preemptive(workers, 100));
+        let (ping_tx, ping_rx) = ult_sync::channel::<u64>(WINDOW as usize);
+        let (pong_tx, pong_rx) = ult_sync::channel::<u64>(WINDOW as usize);
+        let ponger = rt.spawn_with(kind, Priority::High, move || {
+            while let Ok(v) = ping_rx.recv() {
+                pong_tx.send(v + 1).unwrap();
+            }
+        });
+        let pinger = rt.spawn_with(kind, Priority::High, move || {
+            let mut sum = 0;
+            for w in 0..WINDOWS {
+                for i in 0..WINDOW {
+                    ping_tx.send(w * WINDOW + i).unwrap();
+                }
+                for _ in 0..WINDOW {
+                    sum += pong_rx.recv().unwrap();
+                }
+            }
+            sum
+        });
+        let counter = Arc::new(ult_sync::Mutex::new(0u64));
+        let lockers: Vec<_> = (0..LOCKERS)
+            .map(|_| {
+                let counter = counter.clone();
+                rt.spawn_with(kind, Priority::High, move || {
+                    for _ in 0..LOCKS_EACH {
+                        *counter.lock() += 1;
+                    }
+                })
+            })
+            .collect();
+        let n = WINDOW * WINDOWS;
+        assert_eq!(pinger.join(), n * (n + 1) / 2, "{kind:?} x{workers}");
+        ponger.join();
+        for l in lockers {
+            l.join();
+        }
+        assert_eq!(*counter.lock(), LOCKERS * LOCKS_EACH, "{kind:?} x{workers}");
+        rt.shutdown();
+    }
+    done_tx.send(()).unwrap();
+    watchdog.join().unwrap();
+}
+
 #[test]
 fn busy_wait_team_deadlock_broken_by_preemption() {
     // Miniature of the paper's Cholesky/MKL scenario through mini-blas

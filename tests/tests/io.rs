@@ -8,7 +8,9 @@ use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ult_core::{Config, Priority, Runtime, SchedPolicy, ThreadKind, TimerStrategy};
+use ult_core::{
+    Config, Priority, Runtime, SchedClass, SchedPolicy, SpawnAttrs, ThreadKind, TimerStrategy,
+};
 
 /// Pin one reactor shard per possible worker rank before any I/O runs.
 /// The default shard count is the CPU count, which on a small CI box
@@ -386,5 +388,198 @@ fn affinity_rebind_and_cross_shard_wake() {
     assert!(
         r_resume < 1 || st.io_parks > 0,
         "reader never parked in a shard: {st:?}"
+    );
+}
+
+/// One busy worker: two `Throughput` spinners of a preemptive kind and a
+/// `Latency` echo handler behind `server`. Spinners and handler end when the returned
+/// flag is set and the client side closes.
+struct BusyEcho {
+    rt: Runtime,
+    stop: Arc<AtomicBool>,
+    spinners: Vec<ult_core::JoinHandle<()>>,
+    client: std::net::TcpStream,
+}
+
+impl BusyEcho {
+    fn start(tick_us: u64, spinner_kind: ThreadKind) -> (BusyEcho, std::net::TcpStream) {
+        pin_per_worker_shards();
+        let rt = Runtime::start(preemptive(1, tick_us));
+        let stop = Arc::new(AtomicBool::new(false));
+        let spinners = (0..2)
+            .map(|_| {
+                let stop = stop.clone();
+                let attrs = SpawnAttrs::new()
+                    .kind(spinner_kind)
+                    .class(SchedClass::Throughput);
+                rt.spawn_attrs(attrs, move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        core::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        let ln = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(ln.local_addr().unwrap()).unwrap();
+        let (server, _) = ln.accept().unwrap();
+        for s in [&client, &server] {
+            s.set_nodelay(true).unwrap();
+        }
+        let echo = BusyEcho {
+            rt,
+            stop,
+            spinners,
+            client,
+        };
+        (echo, server)
+    }
+
+    /// Median round trip over `n` spaced-out 4-byte requests.
+    fn p50_rtt_ns(&mut self, n: usize) -> u64 {
+        let mut rtts: Vec<u64> = (0..n)
+            .map(|_| {
+                // Let the worker get back into a spinner's quantum.
+                std::thread::sleep(Duration::from_micros(300));
+                let t0 = ult_sys::now_ns();
+                self.client.write_all(b"ping").unwrap();
+                let mut back = [0u8; 4];
+                self.client.read_exact(&mut back).unwrap();
+                assert_eq!(&back, b"ping");
+                ult_sys::now_ns() - t0
+            })
+            .collect();
+        rtts.sort_unstable();
+        rtts[n / 2]
+    }
+
+    /// Stop the spinners and hand back the runtime (the caller has already
+    /// dealt with its handler).
+    fn stop_spinners(self) -> (Runtime, std::net::TcpStream) {
+        self.stop.store(true, Ordering::Relaxed);
+        for s in self.spinners {
+            s.join();
+        }
+        (self.rt, self.client)
+    }
+}
+
+/// A busy worker answers an I/O request when the fd turns ready, not at its
+/// next tick: with a 10 ms tick and two spinners ahead of it in the queue, a
+/// handler that waited for ticks would take 25 ms (half a tick to be found,
+/// two quanta behind the spinners). The watcher's kick plus the latency
+/// lane must bring the median round trip under 2 ms — for a blocking
+/// handler and for a task on `AsyncTcpStream`, over signal-yield spinners
+/// and over KLT-switching ones (the kick is an ordinary preemption signal,
+/// so it takes whichever path the occupant's kind takes).
+#[test]
+fn busy_worker_echo_beats_the_tick() {
+    const TICK_US: u64 = 10_000;
+    let latency = SpawnAttrs::new().class(SchedClass::Latency);
+    let kinds = [ThreadKind::SignalYield, ThreadKind::KltSwitching];
+    for (kind, async_handler) in kinds.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+        let (mut echo, server) = BusyEcho::start(TICK_US, kind);
+        let before = echo.rt.stats();
+        let handler = if async_handler {
+            let task = echo
+                .rt
+                .spawn(move || {
+                    ult_future::spawn_attrs(latency, async move {
+                        let s = ult_future::AsyncTcpStream::from_std(server).unwrap();
+                        let mut buf = [0u8; 4];
+                        while s.read_exact(&mut buf).await.is_ok() {
+                            s.write_all(&buf).await.unwrap();
+                        }
+                    })
+                })
+                .join();
+            echo.rt.spawn(move || task.join())
+        } else {
+            echo.rt.spawn_attrs(latency, move || {
+                let s = ult_io::TcpStream::from_std(server).unwrap();
+                let mut buf = [0u8; 4];
+                while s.read_exact(&mut buf).is_ok() {
+                    s.write_all(&buf).unwrap();
+                }
+            })
+        };
+        let p50 = echo.p50_rtt_ns(200);
+        let st = echo.rt.stats();
+        let (rt, client) = echo.stop_spinners();
+        drop(client);
+        handler.join();
+        rt.shutdown();
+        assert!(
+            p50 < 2_000_000,
+            "{kind:?} async={async_handler}: median round trip {p50} ns waited for the {TICK_US} us tick: {st:?}"
+        );
+        // The mechanism, not luck: shards were handed to the watcher and
+        // its kicks preempted the spinners.
+        assert!(
+            st.io_watch_arms > before.io_watch_arms && st.io_preempts >= 100,
+            "{kind:?} async={async_handler}: fast without the watcher? {st:?}"
+        );
+    }
+}
+
+/// Shards and their watcher are process-global, runtimes are not. Ten
+/// runtimes in a row leave their watch armed at shutdown (the last wait on
+/// the shard timed out, so nothing ever fired it) and a connection
+/// registered in the shard; traffic on it afterwards fires the dead
+/// runtime's watch. The watcher must find nobody to signal — no crash, and
+/// no tick on a bystander runtime that has no timer of its own.
+#[test]
+fn watches_outlive_their_runtimes_harmlessly() {
+    pin_per_worker_shards();
+    let bystander = Runtime::start(Config {
+        num_workers: 1,
+        preempt_interval_ns: 0,
+        ..Config::default()
+    });
+    let mut kept = Vec::new();
+    let mut skips = 0;
+    for i in 0..10 {
+        let (mut echo, server) = BusyEcho::start(1_000, ThreadKind::SignalYield);
+        // The handler hands its stream back instead of closing it, so the
+        // fd stays registered (read interest armed) in shard 0.
+        let handler =
+            echo.rt
+                .spawn_attrs(SpawnAttrs::new().class(SchedClass::Latency), move || {
+                    let s = ult_io::TcpStream::from_std(server).unwrap();
+                    let mut buf = [0u8; 4];
+                    for _ in 0..20 {
+                        s.read_exact(&mut buf).unwrap();
+                        s.write_all(&buf).unwrap();
+                    }
+                    s.set_read_timeout(Some(Duration::from_millis(5)));
+                    let e = s.read_exact(&mut buf).unwrap_err();
+                    assert_eq!(e.kind(), std::io::ErrorKind::TimedOut);
+                    s
+                });
+        let p50 = echo.p50_rtt_ns(20);
+        let stream = handler.join();
+        let st = echo.rt.stats();
+        assert!(
+            st.io_watch_arms > 0,
+            "runtime {i}: watch never armed: {st:?}"
+        );
+        assert!(st.io_watch_skips >= skips, "{st:?}");
+        skips = st.io_watch_skips;
+        assert!(p50 < 50_000_000, "runtime {i}: median round trip {p50} ns");
+        let (rt, mut client) = echo.stop_spinners();
+        rt.shutdown();
+        // The shard is still watched on the dead runtime's behalf.
+        client.write_all(b"late").unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        kept.push((stream, client));
+    }
+    let st = bystander.stats();
+    bystander.shutdown();
+    assert_eq!(
+        st.timer_ticks, 0,
+        "a kick strayed onto the bystander: {st:?}"
+    );
+    assert!(
+        st.io_watch_skips > 0,
+        "no late event ever reached the watcher: {st:?}"
     );
 }
