@@ -27,6 +27,7 @@
 //! Usage:
 //!   bench_adaptive [--quick] [--out PATH] [--check BASELINE.json]
 
+use repro_bench::measure::{report_metrics, Metric};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,13 +38,6 @@ const BASE_TICK_NS: u64 = 4_000_000;
 /// Ping period, deliberately not a multiple of the tick so wakes sample
 /// the slice phase uniformly.
 const PING_PERIOD: Duration = Duration::from_millis(13);
-
-struct Metric {
-    name: &'static str,
-    value: f64,
-    /// Whether the 2× regression tripwire applies (adaptive-side numbers).
-    checked: bool,
-}
 
 /// One work unit: ~tens of microseconds of pure arithmetic.
 fn work_unit() {
@@ -142,61 +136,6 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn to_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{\n");
-    for (i, m) in metrics.iter().enumerate() {
-        s.push_str(&format!("  \"{}\": {:.1}", m.name, m.value));
-        s.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Minimal extractor for the flat `"name": number` JSON this tool writes.
-fn json_get(src: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = src.find(&pat)?;
-    let rest = &src[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
-fn check_against_baseline(metrics: &[Metric], bp: &str) {
-    let baseline =
-        std::fs::read_to_string(bp).unwrap_or_else(|e| panic!("read baseline {bp}: {e}"));
-    let mut failed = false;
-    for m in metrics.iter().filter(|m| m.checked) {
-        let Some(base) = json_get(&baseline, m.name) else {
-            eprintln!("perf-smoke: {} missing from baseline, skipping", m.name);
-            continue;
-        };
-        let factor = m.value / base.max(0.1);
-        let verdict = if factor > 2.0 {
-            failed = true;
-            "REGRESSION"
-        } else if factor > 1.25 {
-            // Soft warning: below the hard tripwire but creeping — flag
-            // it in the log without failing the run.
-            "WARN (>1.25x)"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "perf-smoke: {:>22} {:>10.1} vs baseline {:>10.1} ({:.2}x) {}",
-            m.name, m.value, base, factor, verdict
-        );
-    }
-    if failed {
-        eprintln!("perf-smoke: >2x regression against {bp}");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -265,13 +204,7 @@ fn main() {
         },
     ];
 
-    let json = to_json(&metrics);
-    print!("{json}");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_adaptive.json");
-    eprintln!("wrote {out_path}");
+    report_metrics(&metrics, &out_path, baseline_path.as_deref());
 
     // Hard floors: the acceptance gates of the adaptive-quantum design.
     if ratio < 2.0 {
@@ -295,8 +228,4 @@ fn main() {
         "bench_adaptive: p99 fixed {p99_fixed:.0} us vs adaptive {p99_adaptive:.0} us \
          ({ratio:.1}x), completion {tput_factor:.3}x"
     );
-
-    if let Some(bp) = baseline_path {
-        check_against_baseline(&metrics, &bp);
-    }
 }

@@ -19,15 +19,11 @@
 //! Usage:
 //!   bench_async [--quick] [--out PATH] [--check BASELINE.json]
 
+use repro_bench::measure::{report_metrics, Metric};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ult_core::{Config, Priority, Runtime, SchedClass, SpawnAttrs, ThreadKind, TimerStrategy};
-
-struct Metric {
-    name: &'static str,
-    value: f64,
-}
 
 fn quiet_config(workers: usize) -> Config {
     Config {
@@ -194,30 +190,6 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn to_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{\n");
-    for (i, m) in metrics.iter().enumerate() {
-        s.push_str(&format!("  \"{}\": {:.1}", m.name, m.value));
-        s.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Minimal extractor for the flat `"name": number` JSON this tool writes.
-fn json_get(src: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = src.find(&pat)?;
-    let rest = &src[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -245,61 +217,28 @@ fn main() {
         Metric {
             name: "ult_spawn_join_ns",
             value: ult_spawn_join_ns,
+            checked: true,
         },
         Metric {
             name: "async_spawn_join_ns",
             value: async_spawn_join_ns,
+            checked: true,
         },
         Metric {
             name: "spawn_blocking_ns",
             value: spawn_blocking_ns,
+            checked: true,
         },
         Metric {
             name: "offload_ping_p99_us",
             value: offload_ping_p99_us,
+            checked: true,
         },
     ];
 
-    let json = to_json(&metrics);
-    print!("{json}");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_async.json");
-    eprintln!("wrote {out_path}");
+    report_metrics(&metrics, &out_path, baseline_path.as_deref());
     eprintln!(
         "task tax: async/raw spawn+join = {:.2}x",
         async_spawn_join_ns / ult_spawn_join_ns.max(0.1)
     );
-
-    if let Some(bp) = baseline_path {
-        let baseline =
-            std::fs::read_to_string(&bp).unwrap_or_else(|e| panic!("read baseline {bp}: {e}"));
-        let mut failed = false;
-        for m in &metrics {
-            let Some(base) = json_get(&baseline, m.name) else {
-                eprintln!("perf-smoke: {} missing from baseline, skipping", m.name);
-                continue;
-            };
-            let factor = m.value / base.max(0.1);
-            let verdict = if factor > 2.0 {
-                failed = true;
-                "REGRESSION"
-            } else if factor > 1.25 {
-                // Soft warning: below the hard tripwire but creeping — flag
-                // it in the log without failing the run.
-                "WARN (>1.25x)"
-            } else {
-                "ok"
-            };
-            eprintln!(
-                "perf-smoke: {:>22} {:>10.1} vs baseline {:>10.1} ({:.2}x) {}",
-                m.name, m.value, base, factor, verdict
-            );
-        }
-        if failed {
-            eprintln!("perf-smoke: >2x regression against {bp}");
-            std::process::exit(1);
-        }
-    }
 }

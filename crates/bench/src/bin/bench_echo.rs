@@ -35,6 +35,7 @@
 //! applies, with requests/sec and the w4/w1 scaling ratio as unchecked
 //! context.
 
+use repro_bench::measure::{report_metrics, Metric};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,13 +46,6 @@ use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
 const MSG: usize = 16;
 /// Compute chunk between cooperative yields.
 const SPIN_CHUNK_MS: u64 = 20;
-
-struct Metric {
-    name: &'static str,
-    value: f64,
-    /// Subject to the 2× regression tripwire under `--check`.
-    checked: bool,
-}
 
 /// Run one echo experiment; returns all request latencies in nanoseconds.
 fn run_echo(preempt: bool, n_clients: usize, reqs_per_client: usize) -> Vec<u64> {
@@ -298,80 +292,13 @@ fn tput_main(quick: bool, out_path: &str, baseline_path: Option<String>) {
         checked: false,
     });
 
-    let json = to_json(&metrics);
-    print!("{json}");
-    if let Some(dir) = std::path::Path::new(out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(out_path, &json).expect("write BENCH_echo.json");
-    eprintln!("wrote {out_path}");
-
-    if let Some(bp) = baseline_path {
-        check_against_baseline(&metrics, &bp);
-    }
-}
-
-/// Shared perf-smoke tripwire: each checked metric must stay within 2× of
-/// the recorded baseline (all checked metrics are lower-is-better).
-fn check_against_baseline(metrics: &[Metric], bp: &str) {
-    let baseline =
-        std::fs::read_to_string(bp).unwrap_or_else(|e| panic!("read baseline {bp}: {e}"));
-    let mut failed = false;
-    for m in metrics.iter().filter(|m| m.checked) {
-        let Some(base) = json_get(&baseline, m.name) else {
-            eprintln!("perf-smoke: {} missing from baseline, skipping", m.name);
-            continue;
-        };
-        let factor = m.value / base.max(0.1);
-        let verdict = if factor > 2.0 {
-            failed = true;
-            "REGRESSION"
-        } else if factor > 1.25 {
-            // Soft warning: below the hard tripwire but creeping — flag
-            // it in the log without failing the run.
-            "WARN (>1.25x)"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "perf-smoke: {:>20} {:>10.1} us vs baseline {:>10.1} us ({:.2}x) {}",
-            m.name, m.value, base, factor, verdict
-        );
-    }
-    if failed {
-        eprintln!("perf-smoke: >2x regression against {bp}");
-        std::process::exit(1);
-    }
+    report_metrics(&metrics, out_path, baseline_path.as_deref());
 }
 
 /// Percentile over a sorted slice (nearest-rank).
 fn pct(sorted: &[u64], p: f64) -> u64 {
     let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
-}
-
-fn to_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{\n");
-    for (i, m) in metrics.iter().enumerate() {
-        s.push_str(&format!("  \"{}\": {:.1}", m.name, m.value));
-        s.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Minimal extractor for the flat `"name": number` JSON this tool writes.
-fn json_get(src: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = src.find(&pat)?;
-    let rest = &src[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
 }
 
 fn main() {
@@ -447,13 +374,7 @@ fn main() {
         },
     ];
 
-    let json = to_json(&metrics);
-    print!("{json}");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_io.json");
-    eprintln!("wrote {out_path}");
+    report_metrics(&metrics, &out_path, baseline_path.as_deref());
 
     let ratio = p99_off / p99_on.max(0.001);
     if ratio < 5.0 {
@@ -463,8 +384,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("bench_echo: p99 on {p99_on:.0} us vs off {p99_off:.0} us ({ratio:.1}x)");
-
-    if let Some(bp) = baseline_path {
-        check_against_baseline(&metrics, &bp);
-    }
 }

@@ -12,17 +12,12 @@
 //! `--check` runs the measurement, then fails (exit 1) if any metric is
 //! more than 2× slower than the corresponding baseline value.
 
+use repro_bench::measure::{report_metrics, Metric};
 use std::sync::Arc;
 use std::time::Instant;
 use ult_core::pool::ThreadPool;
 use ult_core::thread::Ult;
 use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
-
-/// One metric: name + nanoseconds per operation.
-struct Metric {
-    name: &'static str,
-    ns_per_op: f64,
-}
 
 /// Best-of-`reps` wall time for `f`, in seconds.
 fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -137,30 +132,6 @@ fn bench_steal(n: usize, reps: usize) -> f64 {
     secs * 1e9 / (rounds * BATCH * 2) as f64
 }
 
-fn to_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{\n");
-    for (i, m) in metrics.iter().enumerate() {
-        s.push_str(&format!("  \"{}\": {:.1}", m.name, m.ns_per_op));
-        s.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Minimal extractor for the flat `"name": number` JSON this tool writes.
-fn json_get(src: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = src.find(&pat)?;
-    let rest = &src[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let num: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -186,66 +157,35 @@ fn main() {
     let metrics = [
         Metric {
             name: "spawn_ns",
-            ns_per_op: spawn_ns,
+            value: spawn_ns,
+            checked: true,
         },
         Metric {
             name: "join_ns",
-            ns_per_op: join_ns,
+            value: join_ns,
+            checked: true,
         },
         Metric {
             name: "spawn_join_ns",
-            ns_per_op: spawn_join_ns,
+            value: spawn_join_ns,
+            checked: true,
         },
         Metric {
             name: "yield_ns",
-            ns_per_op: yield_ns,
+            value: yield_ns,
+            checked: true,
         },
         Metric {
             name: "pool_push_pop_ns",
-            ns_per_op: pool_push_pop_ns,
+            value: pool_push_pop_ns,
+            checked: true,
         },
         Metric {
             name: "steal_ns",
-            ns_per_op: steal_ns,
+            value: steal_ns,
+            checked: true,
         },
     ];
 
-    let json = to_json(&metrics);
-    print!("{json}");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_spawn.json");
-    eprintln!("wrote {out_path}");
-
-    if let Some(bp) = baseline_path {
-        let baseline =
-            std::fs::read_to_string(&bp).unwrap_or_else(|e| panic!("read baseline {bp}: {e}"));
-        let mut failed = false;
-        for m in &metrics {
-            let Some(base) = json_get(&baseline, m.name) else {
-                eprintln!("perf-smoke: {} missing from baseline, skipping", m.name);
-                continue;
-            };
-            let factor = m.ns_per_op / base.max(0.1);
-            let verdict = if factor > 2.0 {
-                failed = true;
-                "REGRESSION"
-            } else if factor > 1.25 {
-                // Soft warning: below the hard tripwire but creeping — flag
-                // it in the log without failing the run.
-                "WARN (>1.25x)"
-            } else {
-                "ok"
-            };
-            eprintln!(
-                "perf-smoke: {:>18} {:>10.1} ns vs baseline {:>10.1} ns ({:.2}x) {}",
-                m.name, m.ns_per_op, base, factor, verdict
-            );
-        }
-        if failed {
-            eprintln!("perf-smoke: >2x regression against {bp}");
-            std::process::exit(1);
-        }
-    }
+    report_metrics(&metrics, &out_path, baseline_path.as_deref());
 }

@@ -687,29 +687,7 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         let mut s = RuntimeStats::default();
         for w in self.inner.workers.iter() {
-            s.preemptions += w.stats.preemptions.load(Ordering::Relaxed);
-            s.klt_switches += w.stats.klt_switches.load(Ordering::Relaxed);
-            s.captive_resumes += w.stats.captive_resumes.load(Ordering::Relaxed);
-            s.deferred_ticks += w.stats.deferred_ticks.load(Ordering::Relaxed);
-            s.stale_ticks += w.stats.stale_ticks.load(Ordering::Relaxed);
-            s.suppressed_ticks += w.stats.suppressed_ticks.load(Ordering::Relaxed);
-            s.klt_misses += w.stats.klt_misses.load(Ordering::Relaxed);
-            s.timer_ticks += w.stats.timer_ticks.load(Ordering::Relaxed);
-            s.filtered_ticks += w.stats.filtered_ticks.load(Ordering::Relaxed);
-            s.tick_elisions += w.stats.tick_elisions.load(Ordering::Relaxed);
-            s.tick_rearms += w.stats.tick_rearms.load(Ordering::Relaxed);
-            s.timer_overruns += w.stats.timer_overruns.load(Ordering::Relaxed);
-            s.forward_skips += w.stats.forward_skips.load(Ordering::Relaxed);
-            s.completed += w.stats.completed.load(Ordering::Relaxed);
-            s.steals += w.stats.steals.load(Ordering::Relaxed);
-            s.unparks += w.stats.unparks.load(Ordering::Relaxed);
-            s.quantum_shrinks += w.stats.quantum_shrinks.load(Ordering::Relaxed);
-            s.quantum_stretches += w.stats.quantum_stretches.load(Ordering::Relaxed);
-            s.latency_dispatches += w.stats.latency_dispatches.load(Ordering::Relaxed);
-            s.throughput_dispatches += w.stats.throughput_dispatches.load(Ordering::Relaxed);
-            s.io_preempts += w.stats.io_preempts.load(Ordering::Relaxed);
-            s.interrupt_samples_ns
-                .extend(w.stats.interrupt_ns.snapshot());
+            s.add_worker(&w.stats);
             let io = crate::io_hook::shard_stats(w.rank);
             s.io_polls += io.polls;
             s.io_parks += io.parks;

@@ -66,95 +66,189 @@ const KIND_NONPREEMPTIVE: u8 = 1;
 const KIND_SIGNAL_YIELD: u8 = 2;
 const KIND_KLT_SWITCHING: u8 = 3;
 
-/// Per-worker statistics.
-pub struct WorkerStats {
-    /// Mirror of the current thread's kind (see constants above).
-    current_kind: AtomicU8, // ordering: acqrel kind mirror read by other workers' handlers
+/// Declares the per-worker counters once and generates, from that one
+/// table, the [`WorkerStats`] fields, their initialisers, the
+/// [`RuntimeStats`] fields and the fold between the two. An entry reads:
+/// per-worker doc, name, doc of the sum over workers, `u64`.
+macro_rules! worker_counters {
+    ($($(#[$wdoc:meta])* $name:ident: $(#[$rdoc:meta])* u64;)*) => {
+        /// Per-worker statistics.
+        pub struct WorkerStats {
+            /// Mirror of the current thread's kind (see constants above).
+            current_kind: AtomicU8, // ordering: acqrel kind mirror read by other workers' handlers
+            $($(#[$wdoc])* pub $name: AtomicU64,)* // ordering: counter
+            /// Interruption-time samples (handler entry → switch/return), ns.
+            pub interrupt_ns: SampleRing,
+        }
+
+        impl WorkerStats {
+            /// New stats block; `samples` sizes the interruption ring.
+            pub fn new(samples: usize) -> WorkerStats {
+                WorkerStats {
+                    current_kind: AtomicU8::new(KIND_NONE),
+                    $($name: AtomicU64::new(0),)*
+                    interrupt_ns: SampleRing::new(samples),
+                }
+            }
+        }
+
+        /// Aggregated snapshot across all workers (public API).
+        #[derive(Debug, Clone, Default)]
+        pub struct RuntimeStats {
+            $($(#[$rdoc])* pub $name: u64,)*
+            /// MCS mutex: lock handoffs published to a queued successor
+            /// (process-global; see [`sync_counters`]).
+            pub mcs_handoffs: u64,
+            /// MCS mutex: waiters that gave up spinning and suspended as ULTs
+            /// (process-global; see [`sync_counters`]).
+            pub mcs_suspends: u64,
+            /// Async tasks spawned by `ult-future` (process-global).
+            pub async_tasks: u64,
+            /// Async task wakes that resumed a parked ULT (process-global).
+            pub async_unparks: u64,
+            /// `spawn_blocking` jobs submitted to the offload pool (process-global).
+            pub blocking_jobs: u64,
+            /// Offload-pool KLTs spawned (process-global).
+            pub blocking_klts_spawned: u64,
+            /// Offload-pool KLTs harvested after idling out (process-global).
+            pub blocking_klts_harvested: u64,
+            /// KLTs created on demand by the creator thread.
+            pub klts_created: u64,
+            /// Reactor: `epoll_wait` passes summed over all shards (parks + polls).
+            pub io_polls: u64,
+            /// Reactor: blocking parks in a shard's `epoll_wait`.
+            pub io_parks: u64,
+            /// Reactor: doorbell eventfd rings.
+            pub io_doorbell_rings: u64,
+            /// Reactor: readiness deliveries that woke a ULT homed on another worker.
+            pub io_cross_shard_wakes: u64,
+            /// Reactor: fds migrated between shards by the affinity rebind path.
+            pub io_fd_rebinds: u64,
+            /// Reactor: batched-accept drains (one per listener readiness).
+            pub io_batched_accepts: u64,
+            /// Reactor: connections accepted via the batched `accept4` loop.
+            pub io_accepted: u64,
+            /// Reactor: I/O buffer acquisitions served from a free list.
+            pub io_bufpool_hits: u64,
+            /// Reactor: I/O buffer acquisitions that had to allocate.
+            pub io_bufpool_misses: u64,
+            /// Reactor: times a busy worker handed its shard to the watcher thread.
+            pub io_watch_arms: u64,
+            /// Reactor: watcher wake-ups that needed no signal (owner parked in its
+            /// own `epoll_wait`, nothing preemptible running, or runtime gone).
+            pub io_watch_skips: u64,
+            /// All interruption samples (ns), concatenated across workers.
+            pub interrupt_samples_ns: Vec<u64>,
+        }
+
+        impl RuntimeStats {
+            /// Fold one worker's counters and interruption samples in.
+            pub(crate) fn add_worker(&mut self, w: &WorkerStats) {
+                $(self.$name += w.$name.load(Ordering::Relaxed);)*
+                self.interrupt_samples_ns.extend(w.interrupt_ns.snapshot());
+            }
+        }
+    };
+}
+
+worker_counters! {
     /// Completed preemptions (both techniques).
-    pub preemptions: AtomicU64, // ordering: counter
+    preemptions:
+    /// Completed preemptions (both techniques).
+    u64;
     /// Preemptions performed via KLT-switching.
-    pub klt_switches: AtomicU64, // ordering: counter
+    klt_switches:
+    /// KLT-switching preemptions.
+    u64;
     /// Captive resumes performed by this worker's scheduler.
-    pub captive_resumes: AtomicU64, // ordering: counter
+    captive_resumes:
+    /// Captive resumes.
+    u64;
     /// Ticks deferred because the runtime had preemption disabled.
-    pub deferred_ticks: AtomicU64, // ordering: counter
+    deferred_ticks:
+    /// Ticks deferred in critical sections.
+    u64;
     /// Ticks dropped because this KLT no longer embodies the worker.
-    pub stale_ticks: AtomicU64, // ordering: counter
+    stale_ticks:
+    /// Stale ticks dropped.
+    u64;
     /// Ticks suppressed by the echo filter after a recent preemption.
-    pub suppressed_ticks: AtomicU64, // ordering: counter
+    suppressed_ticks:
+    /// Echo-suppressed ticks.
+    u64;
     /// KLT-switching attempts aborted for lack of a pooled KLT.
-    pub klt_misses: AtomicU64, // ordering: counter
+    klt_misses:
+    /// KLT pool misses (creator requests issued from handlers).
+    u64;
     /// Preemption ticks (timer signals) whose handler ran on this worker.
-    pub timer_ticks: AtomicU64, // ordering: counter
+    timer_ticks:
+    /// Preemption ticks whose handler ran on some worker.
+    u64;
     /// Ticks dismissed by the coarse-clock deadline filter before touching
     /// any scheduler state (the cheap "too early" exit).
-    pub filtered_ticks: AtomicU64, // ordering: counter
+    filtered_ticks:
+    /// Ticks dismissed by the coarse-clock deadline filter.
+    u64;
     /// Times this worker's periodic tick was elided (timer disarmed / taken
     /// out of forwarding eligibility) because it had ≤1 runnable ULT.
-    pub tick_elisions: AtomicU64, // ordering: counter
+    tick_elisions:
+    /// Periodic ticks elided (timer disarmed with ≤1 runnable ULT).
+    u64;
     /// Times an elided tick was re-armed (work arrived: spawn/ready/steal).
-    pub tick_rearms: AtomicU64, // ordering: counter
+    tick_rearms:
+    /// Elided ticks re-armed after work arrived.
+    u64;
     /// Timer expirations the kernel coalesced (`timer_getoverrun`): ticks
     /// that were generated but never delivered as distinct signals.
-    pub timer_overruns: AtomicU64, // ordering: counter
+    timer_overruns:
+    /// Kernel-coalesced timer expirations (`timer_getoverrun`).
+    u64;
     /// Chain/one-to-all forwards that skipped a worker because the signal
     /// send failed (stale tid: target KLT exited or was rebinding).
-    pub forward_skips: AtomicU64, // ordering: counter
+    forward_skips:
+    /// Forwarding sends skipped over stale/exited worker KLTs.
+    u64;
     /// Threads run to completion on this worker.
-    pub completed: AtomicU64, // ordering: counter
+    completed:
+    /// Threads completed.
+    u64;
     /// Threads stolen from other workers' pools.
-    pub steals: AtomicU64, // ordering: counter
+    steals:
+    /// Steal operations.
+    u64;
     /// Futex unparks issued to this worker (wake-storm regression metric:
     /// the Packing scheduler used to unpark *every* active worker per
     /// ready event).
-    pub unparks: AtomicU64, // ordering: counter
+    unparks:
+    /// Worker unparks issued (wake-storm regression metric).
+    u64;
     /// Adaptive-quantum shrinks (queued latency work or excessive dispatch
     /// delay drove the interval toward the floor).
-    pub quantum_shrinks: AtomicU64, // ordering: counter
+    quantum_shrinks:
+    /// Adaptive-quantum shrinks across all workers.
+    u64;
     /// Adaptive-quantum stretches (only throughput work running drove the
     /// interval toward the ceiling).
-    pub quantum_stretches: AtomicU64, // ordering: counter
+    quantum_stretches:
+    /// Adaptive-quantum stretches across all workers.
+    u64;
     /// Dispatches of `SchedClass::Latency` ULTs on this worker.
-    pub latency_dispatches: AtomicU64, // ordering: counter
+    latency_dispatches:
+    /// Dispatches of latency-class ULTs.
+    u64;
     /// Dispatches of `SchedClass::Throughput` ULTs on this worker.
-    pub throughput_dispatches: AtomicU64, // ordering: counter
+    throughput_dispatches:
+    /// Dispatches of throughput-class ULTs.
+    u64;
     /// Preemptions caused by the reactor watcher (`io_hook::io_kick`): fd
     /// readiness took the CPU from this worker's occupant ahead of the tick.
-    pub io_preempts: AtomicU64, // ordering: counter
-    /// Interruption-time samples (handler entry → switch/return), ns.
-    pub interrupt_ns: SampleRing,
+    io_preempts:
+    /// Preemptions caused by fd readiness (the reactor watcher's kick)
+    /// rather than by a timer tick.
+    u64;
 }
 
 impl WorkerStats {
-    /// New stats block; `samples` sizes the interruption ring.
-    pub fn new(samples: usize) -> WorkerStats {
-        WorkerStats {
-            current_kind: AtomicU8::new(KIND_NONE),
-            preemptions: AtomicU64::new(0),
-            klt_switches: AtomicU64::new(0),
-            captive_resumes: AtomicU64::new(0),
-            deferred_ticks: AtomicU64::new(0),
-            stale_ticks: AtomicU64::new(0),
-            suppressed_ticks: AtomicU64::new(0),
-            klt_misses: AtomicU64::new(0),
-            timer_ticks: AtomicU64::new(0),
-            filtered_ticks: AtomicU64::new(0),
-            tick_elisions: AtomicU64::new(0),
-            tick_rearms: AtomicU64::new(0),
-            timer_overruns: AtomicU64::new(0),
-            forward_skips: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-            quantum_shrinks: AtomicU64::new(0),
-            quantum_stretches: AtomicU64::new(0),
-            latency_dispatches: AtomicU64::new(0),
-            throughput_dispatches: AtomicU64::new(0),
-            io_preempts: AtomicU64::new(0),
-            interrupt_ns: SampleRing::new(samples),
-        }
-    }
-
     /// Update the kind mirror when `current` changes.
     #[inline]
     // sigsafe
@@ -224,97 +318,6 @@ static SYNC_COUNTERS: SyncCounters = SyncCounters {
 /// The process-global sync-primitive counters (see [`SyncCounters`]).
 pub fn sync_counters() -> &'static SyncCounters {
     &SYNC_COUNTERS
-}
-
-/// Aggregated snapshot across all workers (public API).
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeStats {
-    /// Completed preemptions (both techniques).
-    pub preemptions: u64,
-    /// KLT-switching preemptions.
-    pub klt_switches: u64,
-    /// Captive resumes.
-    pub captive_resumes: u64,
-    /// Ticks deferred in critical sections.
-    pub deferred_ticks: u64,
-    /// Stale ticks dropped.
-    pub stale_ticks: u64,
-    /// Echo-suppressed ticks.
-    pub suppressed_ticks: u64,
-    /// KLT pool misses (creator requests issued from handlers).
-    pub klt_misses: u64,
-    /// Preemption ticks whose handler ran on some worker.
-    pub timer_ticks: u64,
-    /// Ticks dismissed by the coarse-clock deadline filter.
-    pub filtered_ticks: u64,
-    /// Periodic ticks elided (timer disarmed with ≤1 runnable ULT).
-    pub tick_elisions: u64,
-    /// Elided ticks re-armed after work arrived.
-    pub tick_rearms: u64,
-    /// Kernel-coalesced timer expirations (`timer_getoverrun`).
-    pub timer_overruns: u64,
-    /// Forwarding sends skipped over stale/exited worker KLTs.
-    pub forward_skips: u64,
-    /// Threads completed.
-    pub completed: u64,
-    /// Steal operations.
-    pub steals: u64,
-    /// Worker unparks issued (wake-storm regression metric).
-    pub unparks: u64,
-    /// Adaptive-quantum shrinks across all workers.
-    pub quantum_shrinks: u64,
-    /// Adaptive-quantum stretches across all workers.
-    pub quantum_stretches: u64,
-    /// Dispatches of latency-class ULTs.
-    pub latency_dispatches: u64,
-    /// Dispatches of throughput-class ULTs.
-    pub throughput_dispatches: u64,
-    /// Preemptions caused by fd readiness (the reactor watcher's kick)
-    /// rather than by a timer tick.
-    pub io_preempts: u64,
-    /// MCS mutex: lock handoffs published to a queued successor
-    /// (process-global; see [`sync_counters`]).
-    pub mcs_handoffs: u64,
-    /// MCS mutex: waiters that gave up spinning and suspended as ULTs
-    /// (process-global; see [`sync_counters`]).
-    pub mcs_suspends: u64,
-    /// Async tasks spawned by `ult-future` (process-global).
-    pub async_tasks: u64,
-    /// Async task wakes that resumed a parked ULT (process-global).
-    pub async_unparks: u64,
-    /// `spawn_blocking` jobs submitted to the offload pool (process-global).
-    pub blocking_jobs: u64,
-    /// Offload-pool KLTs spawned (process-global).
-    pub blocking_klts_spawned: u64,
-    /// Offload-pool KLTs harvested after idling out (process-global).
-    pub blocking_klts_harvested: u64,
-    /// KLTs created on demand by the creator thread.
-    pub klts_created: u64,
-    /// Reactor: `epoll_wait` passes summed over all shards (parks + polls).
-    pub io_polls: u64,
-    /// Reactor: blocking parks in a shard's `epoll_wait`.
-    pub io_parks: u64,
-    /// Reactor: doorbell eventfd rings.
-    pub io_doorbell_rings: u64,
-    /// Reactor: readiness deliveries that woke a ULT homed on another worker.
-    pub io_cross_shard_wakes: u64,
-    /// Reactor: fds migrated between shards by the affinity rebind path.
-    pub io_fd_rebinds: u64,
-    /// Reactor: batched-accept drains (one per listener readiness).
-    pub io_batched_accepts: u64,
-    /// Reactor: connections accepted via the batched `accept4` loop.
-    pub io_accepted: u64,
-    /// Reactor: I/O buffer acquisitions served from a free list.
-    pub io_bufpool_hits: u64,
-    /// Reactor: I/O buffer acquisitions that had to allocate.
-    pub io_bufpool_misses: u64,
-    /// Reactor: times a busy worker handed its shard to the watcher thread.
-    pub io_watch_arms: u64,
-    /// Reactor: watcher wake-ups that needed no signal (owner parked in its
-    /// own `epoll_wait`, nothing preemptible running, or runtime gone).
-    pub io_watch_skips: u64,
-    /// All interruption samples (ns), concatenated across workers.
-    pub interrupt_samples_ns: Vec<u64>,
 }
 
 impl RuntimeStats {

@@ -656,9 +656,27 @@ fn run_thread(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
     }
 }
 
+/// Debug check at the points where a scheduler context is in control: it
+/// holds its own pin, so the count is at least 1.
+///
+/// Not exactly 1: `pin_current_worker` increments before it verifies, and a
+/// ULT that sampled this worker, was KLT-switched away and came back under
+/// another worker lands its increment here and takes it back when the
+/// verification fails. That is usually a few instructions later, but the
+/// ULT can be preempted once more in between and then the stale pin lasts
+/// until it runs again (it only defers ticks here meanwhile).
+#[inline]
+fn debug_assert_scheduler_pin(w: &Worker) {
+    debug_assert!(
+        w.preempt_disabled.0.load(Ordering::Relaxed) >= 1,
+        "scheduler context without its pin (a suspension path skipped its \
+         increment or a resume path double-decremented)"
+    );
+}
+
 /// Switch into a ready ULT and handle its eventual return.
 fn normal_run(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
-    debug_assert_eq!(w.preempt_disabled.0.load(Ordering::Relaxed), 1);
+    debug_assert_scheduler_pin(w);
     crate::debug_registry::event(crate::debug_registry::ev::RUN, t.id, w.rank as u64);
     // Seed the context lazily on first activation.
     if !t.started.swap(true, Ordering::AcqRel) {
@@ -714,13 +732,7 @@ fn normal_run(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
 /// `None`; the handler already republished the thread and cleared
 /// `current`).
 fn handle_return(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
-    debug_assert_eq!(
-        w.preempt_disabled.0.load(Ordering::Relaxed),
-        1,
-        "scheduler context regained control with preempt_disabled != 1 \
-         (a suspension path skipped its increment or a resume path \
-         double-decremented)"
-    );
+    debug_assert_scheduler_pin(w);
     debug_assert!(
         !crate::sigsafe::in_signal_handler(),
         "scheduler context running with the in-handler flag still set \
@@ -768,7 +780,7 @@ fn handle_return(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
 /// Resume a KLT-switching-preempted thread by waking its captive KLT and
 /// handing this worker over to it (paper Fig. 3).
 fn resume_captive(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
-    debug_assert_eq!(w.preempt_disabled.0.load(Ordering::Relaxed), 1);
+    debug_assert_scheduler_pin(w);
     crate::debug_registry::event(
         crate::debug_registry::ev::RESUME_CAPTIVE,
         t.id,

@@ -10,7 +10,7 @@
 //! `Waiting → TimedOut` exactly once, and only the transition winner takes
 //! the ULT reference and reschedules it. The loser's copy of the waiter goes
 //! stale and is dropped lazily wherever it is next encountered (wheel
-//! advance, fd slot swap, waitlist pop) — cancellation is never chased.
+//! advance, fd slot swap, wait-queue pop) — cancellation is never chased.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};

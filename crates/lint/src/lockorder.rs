@@ -5,7 +5,8 @@
 //! declaration. The pass then walks every function lexically, tracking
 //! the set of held spin locks (`.lock()`/`.try_lock()` open, `.unlock()`
 //! closes; `.with(..)` opens for the rest of the flat walk — its closure
-//! extent is invisible lexically), and:
+//! extent is invisible lexically; a `WaitQueue` method takes the queue's
+//! lock and has released it when it returns), and:
 //!
 //! * flags a **nested acquire that does not strictly increase the level**
 //!   at the exact acquire line — the strict-increase rule makes
@@ -28,7 +29,7 @@ use std::path::PathBuf;
 
 use crate::blocking::{crate_dir, line_waived, pass_scoped, CONTAINER_METHODS, SPIN_METHODS};
 use crate::callgraph::same_crate;
-use crate::locks::scan_locks;
+use crate::locks::{scan_locks, WAIT_QUEUE_OPS};
 use crate::CallSite;
 use crate::{scan_file, Category, Diagnostic, FileScan};
 
@@ -126,7 +127,7 @@ pub fn check(sources: &[(PathBuf, String)]) -> Vec<Diagnostic> {
         for (di, d) in f.fns.iter().enumerate() {
             let mut s = HashSet::new();
             for call in &d.calls {
-                if call.method && matches!(call.name(), "lock" | "try_lock" | "with") {
+                if call.method && acquires(call.name()) {
                     if let Some(r) = &call.recv {
                         if locks.spin_names.contains(r) {
                             if let Some(ix) = resolve_lock(fi, r) {
@@ -145,7 +146,12 @@ pub fn check(sources: &[(PathBuf, String)]) -> Vec<Diagnostic> {
             for (di, d) in f.fns.iter().enumerate() {
                 let mut add: HashSet<usize> = HashSet::new();
                 for call in &d.calls {
-                    if call.method && SPIN_METHODS.contains(&call.name()) {
+                    let queue_op = WAIT_QUEUE_OPS.contains(&call.name())
+                        && call
+                            .recv
+                            .as_ref()
+                            .is_some_and(|r| locks.spin_names.contains(r));
+                    if call.method && (SPIN_METHODS.contains(&call.name()) || queue_op) {
                         continue;
                     }
                     for t in resolve_fn(fi, call) {
@@ -181,7 +187,7 @@ pub fn check(sources: &[(PathBuf, String)]) -> Vec<Diagnostic> {
                     .filter(|r| locks.spin_names.contains(r.as_str()));
                 if let Some(r) = spin_recv {
                     match name {
-                        "lock" | "try_lock" | "with" => {
+                        _ if acquires(name) => {
                             if let Some(ix) = resolve_lock(fi, r) {
                                 for &h in &held {
                                     edges.entry((h, ix)).or_insert((fi, call.name_line));
@@ -206,7 +212,9 @@ pub fn check(sources: &[(PathBuf, String)]) -> Vec<Diagnostic> {
                                         });
                                     }
                                 }
-                                held.push(ix);
+                                if !WAIT_QUEUE_OPS.contains(&name) {
+                                    held.push(ix);
+                                }
                             }
                             continue;
                         }
@@ -257,6 +265,11 @@ pub fn check(sources: &[(PathBuf, String)]) -> Vec<Diagnostic> {
 
     diags.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     diags
+}
+
+/// Method names that take the spin lock their receiver names.
+fn acquires(name: &str) -> bool {
+    matches!(name, "lock" | "try_lock" | "with") || WAIT_QUEUE_OPS.contains(&name)
 }
 
 fn fmt_level(l: &Option<(u32, String)>) -> String {
@@ -372,6 +385,26 @@ mod tests {
              // lock-order: 2 beta\nstatic BETA: SpinLock<()> = SpinLock::new(());\n\
              fn ab() {\n    ALPHA.lock();\n    BETA.lock();\n    BETA.unlock();\n    ALPHA.unlock();\n}\n",
         ));
+        assert!(d.is_empty(), "{d:#?}");
+    }
+
+    #[test]
+    fn wait_queue_ops_acquire_and_release() {
+        let decls = "// lock-order: 50 alpha\nstatic ALPHA: SpinLock<()> = SpinLock::new(());\n\
+                     struct M {\n    // lock-order: 40 m_waiters\n    waiters: WaitQueue,\n}\n";
+        // Waking under a higher-ranked spin lock inverts the order.
+        let d = check(&srcs(&format!(
+            "{decls}impl M {{\nfn f(&self) {{\n    ALPHA.lock();\n    self.waiters.wake_one();\n    \
+             ALPHA.unlock();\n}}\n}}\n"
+        )));
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].line, 10);
+        assert!(d[0].message.contains("`m_waiters` (level 40)"), "{d:#?}");
+        // The queue's lock is released when the method returns.
+        let d = check(&srcs(&format!(
+            "{decls}impl M {{\nfn f(&self) {{\n    self.waiters.wait(None, || true);\n    \
+             self.waiters.wake_all();\n}}\n}}\n"
+        )));
         assert!(d.is_empty(), "{d:#?}");
     }
 

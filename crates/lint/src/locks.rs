@@ -4,7 +4,8 @@
 //! Declarations are found lexically: an `Ident(":") SpinLock` sequence —
 //! a struct field or `static` whose declared type's final path segment is
 //! `SpinLock` — registers a spin lock under the field/static name
-//! (`WaitLock`, `ult-sync`'s pinning wrapper around one, counts as well).
+//! (`WaitQueue`, `ult-sync`'s wait queue, owns one and pins its holder: a
+//! field of that type counts as well, under the field's name and rank).
 //! Constructor uses (`SpinLock::new`) and reference-typed parameters
 //! (`&SpinLock<T>`) are not declarations. The same shape with `Mutex` in a
 //! file that imports a KLT-parking mutex (`parking_lot` or
@@ -32,9 +33,16 @@ pub(crate) struct SpinDecl {
     /// Raw `// lock-order:` spec (`"1 alpha"`) from the declaration line
     /// or the line above, if any.
     pub(crate) order: Option<String>,
-    /// Declared as `WaitLock`: acquiring it pins the ULT first.
+    /// Declared as `WaitQueue`: taken only inside that type's methods
+    /// ([`WAIT_QUEUE_OPS`]), which pin the ULT first and release the lock
+    /// before they return.
     pub(crate) pinning: bool,
 }
+
+/// The `WaitQueue` methods; each takes the queue's lock. A `ready` closure
+/// handed to `wait` runs under it, which a flat walk cannot see: what the
+/// closure may take is part of the contract in `waitqueue.rs`, not checked.
+pub(crate) const WAIT_QUEUE_OPS: &[&str] = &["wait", "wake_one", "wake_all", "len"];
 
 /// Lock names seen across the scanned sources.
 #[derive(Debug, Default)]
@@ -63,7 +71,7 @@ pub(crate) fn scan_locks(sources: &[(PathBuf, String)]) -> LockRegistry {
             let Tok::Ident(ty) = &toks[i].tok else {
                 continue;
             };
-            let is_spin = ty == "SpinLock" || ty == "WaitLock";
+            let is_spin = ty == "SpinLock" || ty == "WaitQueue";
             let is_klt = ty == "Mutex" && klt_mutex_file;
             if !is_spin && !is_klt {
                 continue;
@@ -86,7 +94,7 @@ pub(crate) fn scan_locks(sources: &[(PathBuf, String)]) -> LockRegistry {
                     line,
                     name,
                     order,
-                    pinning: ty == "WaitLock",
+                    pinning: ty == "WaitQueue",
                 });
             } else {
                 reg.klt_names.insert(name);

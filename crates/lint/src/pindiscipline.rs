@@ -32,8 +32,9 @@
 //! `SpinLock`. Its primitives take their internal lock both from
 //! `block_current` registrations (pinned) and from wake-up paths that any
 //! preemptive ULT runs; unless those pin too, a holder preempted in front
-//! of a registration wedges the worker. `WaitLock` pins in `lock()`, so the
-//! rule is the type, checked where the lock is declared.
+//! of a registration wedges the worker. `WaitQueue` pins before it spins
+//! and is the only place that may, so the rule is the type, checked where
+//! the lock is declared; the queue's own raw lock carries the one `pin-ok`.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -205,7 +206,7 @@ pub fn check(sources: &[(PathBuf, String)], waivers: &Waivers) -> Vec<Diagnostic
             category: Category::Pin,
             message: format!(
                 "`{}` is a raw `SpinLock` in ult-sync: wake-up paths would hold it preemptibly \
-                 while `block_current` registrations take it pinned; declare it `WaitLock`",
+                 while `block_current` registrations take it pinned; wait on a `WaitQueue`",
                 d.name
             ),
         });
@@ -402,30 +403,16 @@ mod tests {
         let d = check_at("crates/sync/src/sem.rs", raw);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!((d[0].category, d[0].line), (Category::Pin, 2));
-        assert!(d[0].message.contains("WaitLock"), "{}", d[0].message);
-        // The pinning wrapper, a waived declaration and other crates pass.
+        assert!(d[0].message.contains("WaitQueue"), "{}", d[0].message);
+        // The wait queue, its own waived raw lock and other crates pass.
         assert!(check_at(
             "crates/sync/src/sem.rs",
-            "struct Sem {\n    lock: WaitLock,\n}\n"
+            "struct Sem {\n    waiters: WaitQueue,\n}\n"
         )
         .is_empty());
-        let waived = "struct W {\n    // pin-ok: lock() pins first\n    raw: SpinLock,\n}\n";
-        assert!(check_at("crates/sync/src/lib.rs", waived).is_empty());
+        let waived = "struct W {\n    // pin-ok: locked() pins first\n    raw: SpinLock,\n}\n";
+        assert!(check_at("crates/sync/src/waitqueue.rs", waived).is_empty());
         assert!(check_at("crates/core/src/thread.rs", raw).is_empty());
-    }
-
-    #[test]
-    fn wait_lock_guard_still_forbids_suspension() {
-        let d = check(
-            &srcs(
-                "struct Q { lock: WaitLock }\n\
-                 impl Q {\nfn drain(&self) {\n    self.lock.lock();\n    futex_park();\n    \
-                 self.lock.unlock();\n}\n}\n\
-                 // blocking: klt\nfn futex_park() { }\n",
-            ),
-            &Waivers::empty(),
-        );
-        assert_eq!(d.len(), 1, "{d:#?}");
     }
 
     #[test]

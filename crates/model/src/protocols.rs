@@ -36,6 +36,11 @@
 //!   an unwatched shard at dispatch; the watcher clears the watch and only
 //!   then signals, so the dispatch its signal causes arms again.
 //!
+//! * [`waitqueue_park_vs_wake`] — `ult-sync`'s one wait mechanism
+//!   (`waitqueue.rs`): the waiter re-checks the primitive's state under the
+//!   queue lock and publishes itself before unlocking; the waker changes
+//!   the state and then pops under the same lock.
+//!
 //! Every scenario keeps the concurrent window to a handful of operations
 //! per thread: the explorer is exhaustive and pays for every extra op.
 
@@ -1050,4 +1055,65 @@ pub fn waker_park_vs_wake(weaken: bool) -> (bool, usize, usize) {
     };
     let waker_got = waker.join();
     (parked, waker_got, reclaimed)
+}
+
+// ---------------------------------------------------------------------------
+// ult-sync wait queue: park vs wake
+// ---------------------------------------------------------------------------
+
+/// Lock attempts before a model thread gives its execution up. The explorer
+/// has no fair scheduler, so an unbounded spin would never end; a holder's
+/// critical section is at most three operations, and any real execution is
+/// equivalent to one where the spinner fails at most once between two of
+/// them.
+const WQ_SPINS: usize = 4;
+
+/// `SpinLock::lock` (Acquire swap), bounded by [`WQ_SPINS`].
+fn wq_lock(lock: &AtomicBool) -> bool {
+    (0..WQ_SPINS).any(|_| !lock.swap(true, Ordering::Acquire))
+}
+
+/// One waiter against one waker on a `WaitQueue` (`ult-sync`
+/// `waitqueue.rs`), the protocol under Mutex, Condvar, Semaphore, RwLock,
+/// Barrier and WaitGroup alike. `state` stands for the primitive's own
+/// atomic (1 = what the waiter wants is there), `queue` for the FIFO, plain
+/// data that only the lock protects.
+///
+/// * Waiter (`WaitQueue::wait`): take the lock, evaluate `ready` (load
+///   `state`), publish itself if that failed, unlock, park.
+/// * Waker (`Mutex::unlock` and its kin): store `state` (Release), take the
+///   lock, pop, unlock, wake what it popped.
+///
+/// Returns `(parked, woken)`, or `None` for an execution in which a lock
+/// spin ran out (see [`WQ_SPINS`]). `(true, false)` is the lost wake-up: the
+/// waiter sleeps on a state that already changed and nobody will pop it.
+/// Unreachable when `faithful`; otherwise `ready` is evaluated *before* the
+/// lock is taken, the waker can change the state and find the queue empty in
+/// between, and the model reaches it.
+pub fn waitqueue_park_vs_wake(faithful: bool) -> Option<(bool, bool)> {
+    let lock = Arc::new(AtomicBool::new(false));
+    let state = Arc::new(AtomicUsize::new(0));
+    let queue = Arc::new(RaceCell::new(0usize));
+    let (l2, s2, q2) = (lock.clone(), state.clone(), queue.clone());
+    let waker = thread::spawn(move || {
+        s2.store(1, Ordering::Release);
+        if !wq_lock(&l2) {
+            return None;
+        }
+        let popped = q2.get();
+        q2.set(0);
+        l2.store(false, Ordering::Release);
+        Some(popped == 1)
+    });
+    let early = (!faithful).then(|| state.load(Ordering::Acquire));
+    let parked = wq_lock(&lock).then(|| {
+        let ready = early.unwrap_or_else(|| state.load(Ordering::Acquire)) == 1;
+        if !ready {
+            queue.set(1);
+        }
+        lock.store(false, Ordering::Release);
+        !ready
+    });
+    let woken = waker.join();
+    Some((parked?, woken?))
 }

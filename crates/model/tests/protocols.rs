@@ -361,3 +361,34 @@ fn weakened_waker_reaches_the_lost_wakeup() {
         "weakened waker should reach the lost wakeup: {outs:?}"
     );
 }
+
+/// The one wait mechanism under every `ult-sync` primitive: with `ready`
+/// evaluated under the queue lock and the waiter published before the
+/// unlock, no interleaving parks a waiter the waker does not pop.
+#[test]
+fn waitqueue_park_vs_wake_never_loses_the_wakeup() {
+    let (report, outs) = ult_model::explore(ult_model::Config::default(), || {
+        protocols::waitqueue_park_vs_wake(true)
+    });
+    assert_exhaustive_unless_budgeted(report);
+    println!("waitqueue park-vs-wake: {} executions", report.executions);
+    assert!(
+        !outs.contains(&Some((true, false))),
+        "waiter parked and the waker found the queue empty: {outs:?}"
+    );
+    // Both orders are modelled: the waker first (nothing parks) and the
+    // waiter first (it parks and is popped).
+    assert!(outs.contains(&Some((false, false))), "{outs:?}");
+    assert!(outs.contains(&Some((true, true))), "{outs:?}");
+}
+
+/// Checking before the lock is taken loses the wake-up — the model reaches
+/// it, so the test above has teeth.
+#[test]
+fn waitqueue_check_before_lock_loses_the_wakeup() {
+    let outs = ult_model::outcomes(|| protocols::waitqueue_park_vs_wake(false));
+    assert!(
+        outs.contains(&Some((true, false))),
+        "check-then-lock should reach the lost wake-up: {outs:?}"
+    );
+}

@@ -7,23 +7,17 @@
 //! [`SpinMode::Yielding`] reproduces the authors' reverse-engineered MKL
 //! patch that inserts an explicit yield into the wait loop.
 
-use crate::waitlist::{WaitList, WaitLock};
-use std::cell::UnsafeCell;
+use crate::waitqueue::WaitQueue;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// A reusable blocking barrier for a fixed party count.
 pub struct Barrier {
     parties: usize,
     // lock-order: 43 barrier_waiters
-    lock: WaitLock,
-    waiters: UnsafeCell<WaitList>,
+    waiters: WaitQueue,
     arrived: AtomicUsize,
     generation: AtomicUsize,
 }
-
-// SAFETY: waiters guarded by `lock`.
-unsafe impl Send for Barrier {}
-unsafe impl Sync for Barrier {}
 
 impl Barrier {
     /// Barrier for `parties` threads (>= 1).
@@ -31,8 +25,7 @@ impl Barrier {
         assert!(parties >= 1);
         Barrier {
             parties,
-            lock: WaitLock::new(),
-            waiters: UnsafeCell::new(WaitList::new()),
+            waiters: WaitQueue::new(),
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
         }
@@ -41,46 +34,27 @@ impl Barrier {
     /// Wait until all parties arrive. Returns `true` on exactly one caller
     /// (the "leader") per generation.
     pub fn wait(&self) -> bool {
-        self.lock.lock();
-        let gen = self.generation.load(Ordering::Relaxed);
-        let arrived = self.arrived.fetch_add(1, Ordering::Relaxed) + 1;
-        if arrived == self.parties {
-            // Last arriver: release everyone, advance the generation.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(gen + 1, Ordering::Release);
-            // SAFETY: under lock.
-            let all = unsafe { (*self.waiters.get()).drain() };
-            self.lock.unlock();
-            for w in all {
-                w.wake();
-            }
-            return true;
-        }
-        // Not last: park until the generation advances.
-        if ult_core::in_ult() {
-            // Register under the barrier lock (still held) to avoid a
-            // wake-before-park race, then release it inside the closure.
-            ult_core::block_current(|me| {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    self.lock.unlock();
-                    return false; // released while we registered
+        // The queue runs the first call of the closure under its lock, so
+        // that call is the arrival: count in and, as the last party, open
+        // the next generation. Later calls only watch the generation.
+        let mut arrived_in = None;
+        let mut leader = false;
+        self.waiters.wait(None, || {
+            let gen = *arrived_in.get_or_insert_with(|| {
+                let gen = self.generation.load(Ordering::Relaxed);
+                if self.arrived.fetch_add(1, Ordering::Relaxed) + 1 == self.parties {
+                    self.arrived.store(0, Ordering::Relaxed);
+                    self.generation.store(gen + 1, Ordering::Release);
+                    leader = true;
                 }
-                // SAFETY: under lock.
-                unsafe { (*self.waiters.get()).push(me.clone()) };
-                self.lock.unlock();
-                true
+                gen
             });
-            // Spurious wake tolerance: re-check generation.
-            while self.generation.load(Ordering::Acquire) == gen {
-                ult_core::yield_now();
-            }
-        } else {
-            self.lock.unlock();
-            while self.generation.load(Ordering::Acquire) == gen {
-                std::thread::yield_now();
-            }
+            self.generation.load(Ordering::Acquire) != gen
+        });
+        if leader {
+            self.waiters.wake_all();
         }
-        false
+        leader
     }
 
     /// Party count.

@@ -1,23 +1,20 @@
 //! A ULT-blocking condition variable paired with [`crate::Mutex`].
 
 use crate::mutex::{Mutex, MutexGuard};
-use crate::waitlist::{WaitList, WaitLock};
-use std::cell::UnsafeCell;
+use crate::waitqueue::{deadline_after, WaitQueue};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Condition variable: `wait` releases the mutex and parks the ULT;
 /// `notify_one`/`notify_all` reschedule waiters. Callable from outside the
-/// runtime too (falls back to an epoch-watch spin with OS yields).
+/// runtime too (the waiter then polls the notify epoch with OS yields).
 pub struct Condvar {
     // lock-order: 30 condvar_waiters
-    lock: WaitLock,
-    waiters: UnsafeCell<WaitList>,
-    /// Bumped on every notify; non-ULT waiters watch it.
-    epoch: std::sync::atomic::AtomicUsize,
+    waiters: WaitQueue,
+    /// Bumped by every notify. A waiter records it while it still holds the
+    /// mutex and is done once it has moved.
+    epoch: AtomicUsize,
 }
-
-// SAFETY: waiters only touched under `lock`.
-unsafe impl Send for Condvar {}
-unsafe impl Sync for Condvar {}
 
 impl Default for Condvar {
     fn default() -> Self {
@@ -29,38 +26,40 @@ impl Condvar {
     /// New condition variable with no waiters.
     pub fn new() -> Condvar {
         Condvar {
-            lock: WaitLock::new(),
-            waiters: UnsafeCell::new(WaitList::new()),
-            epoch: std::sync::atomic::AtomicUsize::new(0),
+            waiters: WaitQueue::new(),
+            epoch: AtomicUsize::new(0),
         }
+    }
+
+    /// Release `guard`, wait for a notify or for `deadline`, re-acquire.
+    /// Returns the guard and whether the wait timed out.
+    fn wait_until<'a, T: ?Sized>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        deadline: Option<u64>,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let mutex: &'a Mutex<T> = MutexGuard::mutex(&guard);
+        let mut guard = Some(guard);
+        let mut epoch = 0;
+        let notified = self.waiters.wait(deadline, || match guard.take() {
+            // First call: release the mutex under the queue lock, so that a
+            // notifier which takes the mutex now cannot reach the queue
+            // before this waiter is on it.
+            Some(g) => {
+                epoch = self.epoch.load(Ordering::Acquire);
+                drop(g);
+                false
+            }
+            None => self.epoch.load(Ordering::Acquire) != epoch,
+        });
+        (mutex.lock(), !notified)
     }
 
     /// Atomically release `guard`, park the calling ULT, and re-acquire the
     /// mutex before returning. Spurious wakeups are possible (as with every
     /// condvar); callers loop on their predicate.
     pub fn wait<'a, T: ?Sized>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        let mutex: &'a Mutex<T> = MutexGuard::mutex(&guard);
-        if ult_core::in_ult() {
-            ult_core::block_current(|me| {
-                self.lock.lock();
-                // SAFETY: under lock.
-                unsafe { (*self.waiters.get()).push(me.clone()) };
-                self.lock.unlock();
-                // Release the mutex only after registration: a notifier
-                // running between unlock and park would otherwise miss us.
-                drop(guard);
-                true
-            });
-        } else {
-            // Outside the runtime: watch the notify epoch with OS yields.
-            use std::sync::atomic::Ordering;
-            let e = self.epoch.load(Ordering::Acquire);
-            drop(guard);
-            while self.epoch.load(Ordering::Acquire) == e {
-                std::thread::yield_now();
-            }
-        }
-        mutex.lock()
+        self.wait_until(guard, None).0
     }
 
     /// Like [`Condvar::wait`], but give up once `dur` elapses. Returns the
@@ -76,36 +75,9 @@ impl Condvar {
     pub fn wait_timeout<'a, T: ?Sized>(
         &self,
         guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
+        dur: Duration,
     ) -> (MutexGuard<'a, T>, bool) {
-        let mutex: &'a Mutex<T> = MutexGuard::mutex(&guard);
-        let timed_out = if ult_core::in_ult() {
-            ult_io::block_for(dur, |w| {
-                self.lock.lock();
-                // SAFETY: under lock.
-                unsafe { (*self.waiters.get()).push_timed(w.clone()) };
-                self.lock.unlock();
-                // Release the mutex only after registration (same
-                // missed-notify argument as `wait`).
-                drop(guard);
-                true
-            })
-        } else {
-            use std::sync::atomic::Ordering;
-            let e = self.epoch.load(Ordering::Acquire);
-            drop(guard);
-            let deadline = std::time::Instant::now() + dur;
-            loop {
-                if self.epoch.load(Ordering::Acquire) != e {
-                    break false;
-                }
-                if std::time::Instant::now() >= deadline {
-                    break true;
-                }
-                std::thread::yield_now();
-            }
-        };
-        (mutex.lock(), timed_out)
+        self.wait_until(guard, Some(deadline_after(dur)))
     }
 
     /// Wait with a timeout until `pred` stops holding. Returns `true` in
@@ -145,50 +117,23 @@ impl Condvar {
         guard
     }
 
-    /// Wake one waiter.
-    ///
-    /// A popped `wait_timeout` entry may already belong to its deadline; a
-    /// dead entry absorbs no notification — the pop loop moves on to the
-    /// next live waiter (and prunes the corpse as a side effect).
+    /// Wake one waiter. A `wait_timeout` entry that already belongs to its
+    /// deadline absorbs no notification: the queue moves on to the next
+    /// live waiter.
     pub fn notify_one(&self) {
-        use std::sync::atomic::Ordering;
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        loop {
-            self.lock.lock();
-            // SAFETY: under lock.
-            let w = unsafe { (*self.waiters.get()).pop() };
-            self.lock.unlock();
-            match w {
-                Some(w) => {
-                    if w.wake() {
-                        return;
-                    }
-                }
-                None => return,
-            }
-        }
+        self.waiters.wake_one();
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        use std::sync::atomic::Ordering;
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.lock.lock();
-        // SAFETY: under lock.
-        let all = unsafe { (*self.waiters.get()).drain() };
-        self.lock.unlock();
-        for w in all {
-            w.wake(); // dead timed entries are simply discarded
-        }
+        self.waiters.wake_all();
     }
 
     /// Number of parked waiters (diagnostic; racy by nature).
     pub fn waiter_count(&self) -> usize {
-        self.lock.lock();
-        // SAFETY: under lock.
-        let n = unsafe { (*self.waiters.get()).len() };
-        self.lock.unlock();
-        n
+        self.waiters.len()
     }
 }
 

@@ -1,10 +1,12 @@
 //! A ULT-blocking mutual-exclusion lock.
 //!
 //! Contention parks the user-level thread (the worker keeps running other
-//! ULTs); uncontended lock/unlock is two atomic operations. Called from
-//! outside the runtime the lock degrades to spinning with OS yields.
+//! ULTs). An uncontended `lock` is one CAS; `unlock` is a store plus a visit
+//! to the (pinned, spin-locked) wait queue to look for a waiter, contended
+//! or not. Called from outside the runtime the lock degrades to spinning
+//! with OS yields.
 
-use crate::waitlist::{WaitList, WaitLock};
+use crate::waitqueue::WaitQueue;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -13,10 +15,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub struct Mutex<T: ?Sized> {
     /// 0 = unlocked, 1 = locked.
     state: AtomicU32,
-    /// Internal short lock protecting the waiter list.
     // lock-order: 40 mutex_waiters
-    wait_lock: WaitLock,
-    waiters: UnsafeCell<WaitList>,
+    waiters: WaitQueue,
     data: UnsafeCell<T>,
 }
 
@@ -36,8 +36,7 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Mutex<T> {
         Mutex {
             state: AtomicU32::new(0),
-            wait_lock: WaitLock::new(),
-            waiters: UnsafeCell::new(WaitList::new()),
+            waiters: WaitQueue::new(),
             data: UnsafeCell::new(value),
         }
     }
@@ -49,62 +48,31 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if self
-            .state
+    fn try_acquire(&self) -> bool {
+        self.state
             .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
-        {
-            Some(MutexGuard {
-                lock: self,
-                _not_send: std::marker::PhantomData,
-            })
-        } else {
-            None
+    }
+
+    fn guard(&self) -> MutexGuard<'_, T> {
+        MutexGuard {
+            lock: self,
+            _not_send: std::marker::PhantomData,
         }
     }
 
-    /// Acquire, blocking the ULT on contention.
+    /// Try to acquire without blocking.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        self.try_acquire().then(|| self.guard())
+    }
+
+    /// Acquire, blocking the ULT on contention. A woken waiter contends
+    /// again (barging keeps the fast path fast).
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        loop {
-            if let Some(g) = self.try_lock() {
-                return g;
-            }
-            if ult_core::in_ult() {
-                // Park this ULT on the wait list, unless the lock was
-                // released between our failed try and the registration
-                // (`acquired` survives any KLT migration — it lives on the
-                // ULT's own stack).
-                let mut acquired = false;
-                ult_core::block_current(|me| {
-                    self.wait_lock.lock();
-                    if self
-                        .state
-                        .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        self.wait_lock.unlock();
-                        acquired = true;
-                        return false; // got it after all — don't block
-                    }
-                    // SAFETY: under wait_lock.
-                    unsafe { (*self.waiters.get()).push(me.clone()) };
-                    self.wait_lock.unlock();
-                    true
-                });
-                if acquired {
-                    return MutexGuard {
-                        lock: self,
-                        _not_send: std::marker::PhantomData,
-                    };
-                }
-                // Woken by an unlock: loop and contend again (barging
-                // semantics keep the fast path fast).
-            } else {
-                std::thread::yield_now();
-            }
+        if !self.try_acquire() {
+            self.waiters.wait(None, || self.try_acquire());
         }
+        self.guard()
     }
 
     /// Whether the mutex is currently locked (diagnostic).
@@ -112,22 +80,15 @@ impl<T: ?Sized> Mutex<T> {
         self.state.load(Ordering::Acquire) == 1
     }
 
-    fn unlock_slow(&self) {
+    fn unlock(&self) {
         self.state.store(0, Ordering::Release);
-        // Wake one waiter, if any.
-        self.wait_lock.lock();
-        // SAFETY: under wait_lock.
-        let next = unsafe { (*self.waiters.get()).pop() };
-        self.wait_lock.unlock();
-        if let Some(w) = next {
-            w.wake();
-        }
+        self.waiters.wake_one();
     }
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.lock.unlock_slow();
+        self.lock.unlock();
     }
 }
 

@@ -26,24 +26,34 @@ impl Once {
         }
     }
 
-    /// Run `f` if nobody has; otherwise wait for the winner to finish.
+    /// Run `f` if nobody has; otherwise wait for the winner to finish. If
+    /// `f` panics and the caller catches the unwind, the `Once` is not
+    /// poisoned: the next caller, or one already waiting, runs its own
+    /// closure.
     pub fn call_once<F: FnOnce()>(&self, f: F) {
-        if self.state.load(Ordering::Acquire) == COMPLETE {
-            return;
-        }
-        match self
-            .state
-            .compare_exchange(INCOMPLETE, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => {
-                f();
-                self.state.store(COMPLETE, Ordering::Release);
+        /// Stores the outcome on the way out of `f`, by return or by unwind.
+        struct Finish<'a>(&'a AtomicU8, u8);
+        impl Drop for Finish<'_> {
+            fn drop(&mut self) {
+                self.0.store(self.1, Ordering::Release);
             }
-            Err(_) => {
-                // Someone else is running (or done): wait cooperatively.
-                while self.state.load(Ordering::Acquire) != COMPLETE {
-                    ult_core::yield_now();
+        }
+        loop {
+            match self.state.compare_exchange(
+                INCOMPLETE,
+                RUNNING,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    let mut finish = Finish(&self.state, INCOMPLETE);
+                    f();
+                    finish.1 = COMPLETE;
+                    return;
                 }
+                Err(COMPLETE) => return,
+                // Someone else is running: wait cooperatively, then look again.
+                Err(_) => ult_core::yield_now(),
             }
         }
     }
@@ -69,6 +79,24 @@ mod tests {
             });
         }
         assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert!(once.is_completed());
+    }
+
+    #[test]
+    fn panicking_closure_leaves_the_once_retryable() {
+        let once = std::sync::Arc::new(Once::new());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            once.call_once(|| panic!("first initialiser fails"));
+        }));
+        assert!(r.is_err());
+        assert!(!once.is_completed());
+        // On its own thread: a wedged `Once` spins forever instead of failing.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let o = once.clone();
+        let next = std::thread::spawn(move || o.call_once(|| tx.send(()).unwrap()));
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the next caller never ran: state stuck in RUNNING");
+        next.join().unwrap();
         assert!(once.is_completed());
     }
 

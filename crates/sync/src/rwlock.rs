@@ -1,9 +1,9 @@
 //! A ULT-blocking readers–writer lock (write-preferring).
 
-use crate::waitlist::{WaitList, WaitLock};
+use crate::waitqueue::WaitQueue;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 /// Reader–writer lock: many concurrent readers or one writer, blocking at
 /// ULT granularity. Writers are preferred (new readers queue behind a
@@ -12,10 +12,14 @@ use std::sync::atomic::{AtomicI64, Ordering};
 pub struct RwLock<T: ?Sized> {
     /// >0: reader count; 0: free; -1: write-locked.
     state: AtomicI64,
-    // lock-order: 41 rwlock_waiters
-    lock: WaitLock,
-    read_waiters: UnsafeCell<WaitList>,
-    write_waiters: UnsafeCell<WaitList>,
+    /// Writers between a failed `try_write` and their acquisition. Each of
+    /// them ends up holding the lock, and the release that follows wakes
+    /// the readers that queued behind it.
+    writers_waiting: AtomicUsize,
+    // lock-order: 41 rwlock_readers
+    readers: WaitQueue,
+    // lock-order: 41 rwlock_writers
+    writers: WaitQueue,
     data: UnsafeCell<T>,
 }
 
@@ -40,9 +44,9 @@ impl<T> RwLock<T> {
     pub fn new(value: T) -> RwLock<T> {
         RwLock {
             state: AtomicI64::new(0),
-            lock: WaitLock::new(),
-            read_waiters: UnsafeCell::new(WaitList::new()),
-            write_waiters: UnsafeCell::new(WaitList::new()),
+            writers_waiting: AtomicUsize::new(0),
+            readers: WaitQueue::new(),
+            writers: WaitQueue::new(),
             data: UnsafeCell::new(value),
         }
     }
@@ -54,19 +58,10 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    fn writer_waiting(&self) -> bool {
-        self.lock.lock();
-        // SAFETY: under lock.
-        let w = unsafe { !(*self.write_waiters.get()).is_empty() };
-        self.lock.unlock();
-        w
-    }
-
-    /// Try to take a read lock without blocking.
-    pub fn try_read(&self) -> Option<ReadGuard<'_, T>> {
-        // Write preference: refuse if a writer is queued.
-        if self.writer_waiting() {
-            return None;
+    /// Write preference: no new reader while a writer waits.
+    fn acquire_read(&self) -> bool {
+        if self.writers_waiting.load(Ordering::Acquire) > 0 {
+            return false;
         }
         let mut cur = self.state.load(Ordering::Acquire);
         while cur >= 0 {
@@ -74,128 +69,65 @@ impl<T: ?Sized> RwLock<T> {
                 .state
                 .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => {
-                    return Some(ReadGuard {
-                        lock: self,
-                        _not_send: std::marker::PhantomData,
-                    })
-                }
+                Ok(_) => return true,
                 Err(c) => cur = c,
             }
         }
-        None
+        false
+    }
+
+    fn acquire_write(&self) -> bool {
+        self.state
+            .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    fn read_guard(&self) -> ReadGuard<'_, T> {
+        ReadGuard {
+            lock: self,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    fn write_guard(&self) -> WriteGuard<'_, T> {
+        WriteGuard {
+            lock: self,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    /// Try to take a read lock without blocking.
+    pub fn try_read(&self) -> Option<ReadGuard<'_, T>> {
+        self.acquire_read().then(|| self.read_guard())
     }
 
     /// Take a read lock, parking the ULT while a writer holds or waits.
     pub fn read(&self) -> ReadGuard<'_, T> {
-        loop {
-            if let Some(g) = self.try_read() {
-                return g;
-            }
-            if ult_core::in_ult() {
-                let mut acquired = false;
-                ult_core::block_current(|me| {
-                    self.lock.lock();
-                    // Re-check under the registration lock.
-                    // SAFETY: write_waiters is only accessed under self.lock, held here.
-                    let writer_q = unsafe { !(*self.write_waiters.get()).is_empty() };
-                    let cur = self.state.load(Ordering::Acquire);
-                    if !writer_q
-                        && cur >= 0
-                        && self
-                            .state
-                            .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                    {
-                        self.lock.unlock();
-                        acquired = true;
-                        return false;
-                    }
-                    // SAFETY: under lock.
-                    unsafe { (*self.read_waiters.get()).push(me.clone()) };
-                    self.lock.unlock();
-                    true
-                });
-                if acquired {
-                    return ReadGuard {
-                        lock: self,
-                        _not_send: std::marker::PhantomData,
-                    };
-                }
-            } else {
-                std::thread::yield_now();
-            }
+        if !self.acquire_read() {
+            self.readers.wait(None, || self.acquire_read());
         }
+        self.read_guard()
     }
 
     /// Try to take the write lock without blocking.
     pub fn try_write(&self) -> Option<WriteGuard<'_, T>> {
-        if self
-            .state
-            .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            Some(WriteGuard {
-                lock: self,
-                _not_send: std::marker::PhantomData,
-            })
-        } else {
-            None
-        }
+        self.acquire_write().then(|| self.write_guard())
     }
 
     /// Take the write lock, parking the ULT while readers/writers hold it.
     pub fn write(&self) -> WriteGuard<'_, T> {
-        loop {
-            if let Some(g) = self.try_write() {
-                return g;
-            }
-            if ult_core::in_ult() {
-                let mut acquired = false;
-                ult_core::block_current(|me| {
-                    self.lock.lock();
-                    if self
-                        .state
-                        .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.lock.unlock();
-                        acquired = true;
-                        return false;
-                    }
-                    // SAFETY: under lock.
-                    unsafe { (*self.write_waiters.get()).push(me.clone()) };
-                    self.lock.unlock();
-                    true
-                });
-                if acquired {
-                    return WriteGuard {
-                        lock: self,
-                        _not_send: std::marker::PhantomData,
-                    };
-                }
-            } else {
-                std::thread::yield_now();
-            }
+        if !self.acquire_write() {
+            self.writers_waiting.fetch_add(1, Ordering::AcqRel);
+            self.writers.wait(None, || self.acquire_write());
+            self.writers_waiting.fetch_sub(1, Ordering::AcqRel);
         }
+        self.write_guard()
     }
 
     /// Wake policy on release: prefer a queued writer, else all readers.
     fn release_wake(&self) {
-        self.lock.lock();
-        // SAFETY: under lock.
-        let writer = unsafe { (*self.write_waiters.get()).pop() };
-        let readers = if writer.is_none() {
-            unsafe { (*self.read_waiters.get()).drain() }
-        } else {
-            Vec::new()
-        };
-        self.lock.unlock();
-        if let Some(wt) = writer {
-            wt.wake();
-        }
-        for r in readers {
-            r.wake();
+        if !self.writers.wake_one() {
+            self.readers.wake_all();
         }
     }
 }

@@ -1,28 +1,21 @@
 //! A counting semaphore blocking at ULT granularity.
 
-use crate::waitlist::{WaitList, WaitLock};
-use std::cell::UnsafeCell;
+use crate::waitqueue::{deadline_after, WaitQueue};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 /// Counting semaphore: `acquire` parks the ULT when no permits remain.
 pub struct Semaphore {
     permits: AtomicIsize,
     // lock-order: 42 semaphore_waiters
-    lock: WaitLock,
-    waiters: UnsafeCell<WaitList>,
+    waiters: WaitQueue,
 }
-
-// SAFETY: waiters guarded by `lock`.
-unsafe impl Send for Semaphore {}
-unsafe impl Sync for Semaphore {}
 
 impl Semaphore {
     /// Semaphore with `permits` initial permits.
     pub fn new(permits: usize) -> Semaphore {
         Semaphore {
             permits: AtomicIsize::new(permits as isize),
-            lock: WaitLock::new(),
-            waiters: UnsafeCell::new(WaitList::new()),
+            waiters: WaitQueue::new(),
         }
     }
 
@@ -43,103 +36,30 @@ impl Semaphore {
 
     /// Take one permit, parking the ULT if none are available.
     pub fn acquire(&self) {
-        loop {
-            if self.try_acquire() {
-                return;
-            }
-            if ult_core::in_ult() {
-                let mut got = false;
-                ult_core::block_current(|me| {
-                    self.lock.lock();
-                    if self.try_acquire() {
-                        self.lock.unlock();
-                        got = true;
-                        return false;
-                    }
-                    // SAFETY: under lock.
-                    unsafe { (*self.waiters.get()).push(me.clone()) };
-                    self.lock.unlock();
-                    true
-                });
-                if got {
-                    return;
-                }
-            } else {
-                std::thread::yield_now();
-            }
+        if !self.try_acquire() {
+            self.waiters.wait(None, || self.try_acquire());
         }
     }
 
     /// Take one permit or give up after `timeout`. Returns `false` on
     /// timeout (no permit taken).
     ///
-    /// Backed by the `ult-io` timer wheel: the waiter sits on the wait list
+    /// Backed by the `ult-io` timer wheel: the waiter sits on the wait queue
     /// and the wheel simultaneously; a [`Semaphore::release`] that loses
     /// the claim race to the deadline simply wakes the next waiter, so no
-    /// permit is ever spent on a corpse.
+    /// permit is ever spent on a corpse. A waiter that was woken but lost
+    /// the permit to a barger waits again for what is left of `timeout`.
     pub fn acquire_timeout(&self, timeout: std::time::Duration) -> bool {
-        if self.try_acquire() {
-            return true;
-        }
-        if !ult_core::in_ult() {
-            let deadline = std::time::Instant::now() + timeout;
-            loop {
-                if self.try_acquire() {
-                    return true;
-                }
-                if std::time::Instant::now() >= deadline {
-                    return false;
-                }
-                std::thread::yield_now();
-            }
-        }
-        let deadline_ns =
-            ult_sys::now_ns().saturating_add(timeout.as_nanos().min(u64::MAX as u128) as u64);
-        loop {
-            let mut got = false;
-            let timed_out = ult_io::block_until(deadline_ns, |w| {
-                self.lock.lock();
-                if self.try_acquire() {
-                    self.lock.unlock();
-                    got = true;
-                    return false;
-                }
-                // SAFETY: under lock.
-                unsafe { (*self.waiters.get()).push_timed(w.clone()) };
-                self.lock.unlock();
-                true
-            });
-            if got || self.try_acquire() {
-                return true;
-            }
-            if timed_out || ult_sys::now_ns() >= deadline_ns {
-                // Either our deadline claimed us, or we were notified but a
-                // barger stole the permit and the deadline has since passed.
-                return false;
-            }
-            // Notified but outraced: go around with the same deadline.
-        }
+        self.try_acquire()
+            || self
+                .waiters
+                .wait(Some(deadline_after(timeout)), || self.try_acquire())
     }
 
-    /// Return one permit, waking a parked waiter if any. A waiter whose
-    /// `acquire_timeout` deadline already claimed it is dead — skip it and
-    /// wake the next, so the permit's wakeup is never lost.
+    /// Return one permit, waking a parked waiter if any.
     pub fn release(&self) {
         self.permits.fetch_add(1, Ordering::Release);
-        loop {
-            self.lock.lock();
-            // SAFETY: under lock.
-            let w = unsafe { (*self.waiters.get()).pop() };
-            self.lock.unlock();
-            match w {
-                Some(w) => {
-                    if w.wake() {
-                        return;
-                    }
-                }
-                None => return,
-            }
-        }
+        self.waiters.wake_one();
     }
 
     /// Available permits (diagnostic; racy).

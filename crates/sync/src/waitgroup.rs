@@ -5,8 +5,7 @@
 //! with a single `wait` — the fork-join pattern whose cheapness is the
 //! selling point of M:N threads (paper §2.1).
 
-use crate::waitlist::{WaitList, WaitLock};
-use std::cell::UnsafeCell;
+use crate::waitqueue::WaitQueue;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 /// Completion counter: `add` before forking, `done` in each task, `wait`
@@ -14,13 +13,8 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 pub struct WaitGroup {
     count: AtomicIsize,
     // lock-order: 44 waitgroup_waiters
-    lock: WaitLock,
-    waiters: UnsafeCell<WaitList>,
+    waiters: WaitQueue,
 }
-
-// SAFETY: waiters guarded by `lock`.
-unsafe impl Send for WaitGroup {}
-unsafe impl Sync for WaitGroup {}
 
 impl Default for WaitGroup {
     fn default() -> Self {
@@ -33,8 +27,7 @@ impl WaitGroup {
     pub fn new() -> WaitGroup {
         WaitGroup {
             count: AtomicIsize::new(0),
-            lock: WaitLock::new(),
-            waiters: UnsafeCell::new(WaitList::new()),
+            waiters: WaitQueue::new(),
         }
     }
 
@@ -48,37 +41,15 @@ impl WaitGroup {
         let left = self.count.fetch_sub(1, Ordering::AcqRel) - 1;
         debug_assert!(left >= 0, "WaitGroup::done underflow");
         if left == 0 {
-            self.lock.lock();
-            // SAFETY: under lock.
-            let all = unsafe { (*self.waiters.get()).drain() };
-            self.lock.unlock();
-            for w in all {
-                w.wake();
-            }
+            self.waiters.wake_all();
         }
     }
 
     /// Park until the outstanding count is zero.
     pub fn wait(&self) {
-        loop {
-            if self.count.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            if ult_core::in_ult() {
-                ult_core::block_current(|me| {
-                    self.lock.lock();
-                    if self.count.load(Ordering::Acquire) == 0 {
-                        self.lock.unlock();
-                        return false;
-                    }
-                    // SAFETY: under lock.
-                    unsafe { (*self.waiters.get()).push(me.clone()) };
-                    self.lock.unlock();
-                    true
-                });
-            } else {
-                std::thread::yield_now();
-            }
+        let done = || self.count.load(Ordering::Acquire) == 0;
+        if !done() {
+            self.waiters.wait(None, done);
         }
     }
 

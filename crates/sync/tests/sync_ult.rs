@@ -1,10 +1,12 @@
 //! ULT-context tests for the sync primitives: blocking must park the ULT
 //! (worker continues with other threads), wake-ups must reschedule it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use ult_core::{Config, Runtime, TimerStrategy};
-use ult_sync::{channel, Barrier, Condvar, Mutex, Semaphore, SpinBarrier, SpinMode, WaitGroup};
+use ult_sync::{
+    channel, Barrier, Condvar, Mutex, RwLock, Semaphore, SpinBarrier, SpinMode, WaitGroup,
+};
 
 fn rt(workers: usize) -> Runtime {
     Runtime::start(Config {
@@ -255,6 +257,125 @@ fn waitgroup_fork_join() {
     });
     joiner.join();
     assert_eq!(sum.load(Ordering::SeqCst), 63 * 64 / 2);
+    r.shutdown();
+}
+
+/// Yield until `flag` is set. On the one cooperative worker the RwLock tests
+/// use, a ULT that sets a flag and then blocks without yielding in between
+/// is parked by the time anyone else sees the flag.
+fn yield_until(flag: &AtomicBool) {
+    while !flag.load(Ordering::SeqCst) {
+        ult_core::yield_now();
+    }
+}
+
+#[test]
+fn rwlock_readers_park_behind_a_queued_writer() {
+    let r = rt(1);
+    let l = Arc::new(RwLock::new(Vec::new()));
+    let (w_queued, r_queued) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (l1, wq, rq) = (l.clone(), w_queued.clone(), r_queued.clone());
+    let holder = r.spawn(move || {
+        let g = l1.read();
+        yield_until(&wq);
+        yield_until(&rq);
+        drop(g);
+    });
+    let (l2, wq) = (l.clone(), w_queued.clone());
+    let writer = r.spawn(move || {
+        wq.store(true, Ordering::SeqCst);
+        l2.write().push("writer");
+    });
+    let (l3, wq, rq) = (l.clone(), w_queued.clone(), r_queued.clone());
+    let reader = r.spawn(move || {
+        yield_until(&wq);
+        // A read lock is compatible with the holder's, but a writer waits.
+        assert!(l3.try_read().is_none());
+        rq.store(true, Ordering::SeqCst);
+        let g = l3.read();
+        assert_eq!(*g, ["writer"], "reader overtook the queued writer");
+    });
+    holder.join();
+    writer.join();
+    reader.join();
+    r.shutdown();
+}
+
+#[test]
+fn rwlock_writer_is_woken_by_the_last_reader() {
+    let r = rt(1);
+    let l = Arc::new(RwLock::new(0u32));
+    let w_queued = Arc::new(AtomicBool::new(false));
+    let release: Vec<_> = (0..2).map(|_| Arc::new(AtomicBool::new(false))).collect();
+    let readers: Vec<_> = release
+        .iter()
+        .map(|rel| {
+            let (l, rel) = (l.clone(), rel.clone());
+            r.spawn(move || {
+                let g = l.read();
+                yield_until(&rel);
+                drop(g);
+            })
+        })
+        .collect();
+    let (l2, wq) = (l.clone(), w_queued.clone());
+    let writer = r.spawn(move || {
+        wq.store(true, Ordering::SeqCst);
+        *l2.write() = 7;
+    });
+    let (l3, wq) = (l.clone(), w_queued.clone());
+    r.spawn(move || {
+        yield_until(&wq);
+        release[0].store(true, Ordering::SeqCst);
+        for _ in 0..20 {
+            ult_core::yield_now();
+        }
+        // One reader is left: the writer is still parked.
+        assert!(l3.try_write().is_none());
+        release[1].store(true, Ordering::SeqCst);
+    })
+    .join();
+    writer.join();
+    for h in readers {
+        h.join();
+    }
+    assert_eq!(*l.read(), 7);
+    r.shutdown();
+}
+
+#[test]
+fn rwlock_writer_drop_releases_all_readers() {
+    let r = rt(1);
+    let l = Arc::new(RwLock::new(()));
+    let queued = Arc::new(AtomicUsize::new(0));
+    let inside = Arc::new(AtomicUsize::new(0));
+    let w = l.write();
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let (l, queued, inside) = (l.clone(), queued.clone(), inside.clone());
+            r.spawn(move || {
+                queued.fetch_add(1, Ordering::SeqCst);
+                let _g = l.read();
+                inside.fetch_add(1, Ordering::SeqCst);
+                // Hold the read lock until all four are in: they were woken
+                // together, not handed the lock one after the other.
+                while inside.load(Ordering::SeqCst) < 4 {
+                    ult_core::yield_now();
+                }
+            })
+        })
+        .collect();
+    while queued.load(Ordering::SeqCst) < 4 {
+        std::thread::yield_now();
+    }
+    assert_eq!(inside.load(Ordering::SeqCst), 0);
+    drop(w);
+    for h in readers {
+        h.join();
+    }
     r.shutdown();
 }
 

@@ -35,8 +35,12 @@ for pin in "taskset -c 0" ""; do
         $pin cargo test -q -p integration-tests --test integration \
             sync_primitives_survive_preemptive_ults
         $pin cargo test -q -p integration-tests --test io busy_worker_echo_beats_the_tick
+        $pin cargo test -q -p ult-sync --test sync_ult --test timeout
     done
 done
+# The wait queue under every ult-sync primitive: re-check under the lock and
+# publish before unlock never loses a wake-up, check-then-lock provably does.
+cargo test -q -p ult-model --test protocols waitqueue_
 # The watcher's clear-then-signal order: faithful never loses the watch,
 # signal-then-clear provably does.
 cargo test -q -p ult-model --test protocols watch
@@ -76,9 +80,9 @@ echo "== perf smoke: async task tax + offload-pool saturation ping (2x tripwire)
 ./target/release/bench_async --quick --out results/BENCH_async.json \
     --check results/BENCH_async_baseline.json
 
-echo "== benchmark smoke: echo_busy and echo_idle, 2 s each, by the BENCHMARK.json command"
+echo "== benchmark smoke: echo_busy, echo_idle, sync_mutex, sync_chan, 2 s each, by the BENCHMARK.json command"
 BENCH_CMD=$(python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
-for w in echo_busy echo_idle; do
+for w in echo_busy echo_idle sync_mutex sync_chan; do
     out=$($BENCH_CMD --workload "$w" --seed 7 --seconds 2 --trace 0 | tail -1)
     echo "$w: $out"
     case "$out" in

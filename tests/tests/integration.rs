@@ -63,10 +63,11 @@ fn klt_local_state_preserved_by_klt_switching() {
     rt.shutdown();
 }
 
-/// Preemptive ULTs on `ult-sync` primitives. The unlock and notify paths
-/// take a primitive's internal spin lock outside `block_current`; a ULT
-/// preempted while holding it used to leave a worker spinning on that lock
-/// inside a pinned section — with one worker, in front of the holder.
+/// Preemptive ULTs on every `ult-sync` primitive built on the wait queue.
+/// The wake-up paths (unlock, notify, release, done) take the queue's spin
+/// lock outside `block_current`; a ULT preempted while holding it used to
+/// leave a worker spinning on that lock inside a pinned section — with one
+/// worker, in front of the holder.
 #[test]
 fn sync_primitives_survive_preemptive_ults() {
     const ROUNDS: usize = 20;
@@ -77,6 +78,9 @@ fn sync_primitives_survive_preemptive_ults() {
     const WINDOWS: u64 = 40;
     const LOCKERS: u64 = 3;
     const LOCKS_EACH: u64 = 20_000;
+    const PERMITS: usize = 2;
+    const WRITE_EVERY: u64 = 8;
+    const BARRIER_EVERY: u64 = 500;
 
     // A wedged runtime cannot be joined or dropped, so the watchdog ends
     // the process instead of failing the test.
@@ -114,24 +118,66 @@ fn sync_primitives_survive_preemptive_ults() {
             }
             sum
         });
+        // The lockers go through every other primitive too: at most
+        // `PERMITS` of them inside the semaphore, a write lock every
+        // `WRITE_EVERY` iterations among read locks, a barrier every
+        // `BARRIER_EVERY`, and a wait group that a fourth ULT waits on.
         let counter = Arc::new(ult_sync::Mutex::new(0u64));
+        let sem = Arc::new(ult_sync::Semaphore::new(PERMITS));
+        let inside = Arc::new(AtomicUsize::new(0));
+        let rw = Arc::new(ult_sync::RwLock::new((0u64, 0u64)));
+        let barrier = Arc::new(ult_sync::Barrier::new(LOCKERS as usize));
+        let leaders = Arc::new(AtomicUsize::new(0));
+        let wg = Arc::new(ult_sync::WaitGroup::new());
+        wg.add(LOCKERS as usize);
         let lockers: Vec<_> = (0..LOCKERS)
             .map(|_| {
-                let counter = counter.clone();
+                let (counter, sem, inside) = (counter.clone(), sem.clone(), inside.clone());
+                let (rw, barrier, leaders, wg) =
+                    (rw.clone(), barrier.clone(), leaders.clone(), wg.clone());
                 rt.spawn_with(kind, Priority::High, move || {
-                    for _ in 0..LOCKS_EACH {
+                    for i in 0..LOCKS_EACH {
                         *counter.lock() += 1;
+                        sem.acquire();
+                        assert!(inside.fetch_add(1, Ordering::SeqCst) < PERMITS);
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        sem.release();
+                        if i % WRITE_EVERY == 0 {
+                            let mut w = rw.write();
+                            w.0 += 1;
+                            w.1 += 1;
+                        } else {
+                            let r = rw.read();
+                            assert_eq!(r.0, r.1, "reader saw a writer's half-done update");
+                        }
+                        if i % BARRIER_EVERY == 0 && barrier.wait() {
+                            leaders.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
+                    wg.done();
                 })
             })
             .collect();
+        let (wg2, counter2) = (wg.clone(), counter.clone());
+        let joiner = rt.spawn_with(kind, Priority::High, move || {
+            wg2.wait();
+            *counter2.lock()
+        });
         let n = WINDOW * WINDOWS;
         assert_eq!(pinger.join(), n * (n + 1) / 2, "{kind:?} x{workers}");
         ponger.join();
+        assert_eq!(joiner.join(), LOCKERS * LOCKS_EACH, "{kind:?} x{workers}");
         for l in lockers {
             l.join();
         }
         assert_eq!(*counter.lock(), LOCKERS * LOCKS_EACH, "{kind:?} x{workers}");
+        let writes = LOCKERS * LOCKS_EACH.div_ceil(WRITE_EVERY);
+        assert_eq!(*rw.read(), (writes, writes), "{kind:?} x{workers}");
+        assert_eq!(
+            leaders.load(Ordering::SeqCst) as u64,
+            LOCKS_EACH.div_ceil(BARRIER_EVERY),
+            "{kind:?} x{workers}"
+        );
         rt.shutdown();
     }
     done_tx.send(()).unwrap();
