@@ -277,10 +277,12 @@ pub fn reactor_wait_done() {
 /// reach it. `Worker::unpark` deposits a futex token — making a concurrent
 /// or imminent futex park return immediately — and rings the shard
 /// doorbell if the owner is epoll-parked instead, so the kick covers both
-/// park modes. No-op off runtime workers and for out-of-range ranks.
+/// park modes. No-op off runtime workers, for out-of-range ranks, and when
+/// `r` is the caller's own worker: the caller is awake, and its next
+/// dispatch looks at the shard before it decides about the tick.
 pub fn kick_worker(r: usize) {
     if let Some(me) = crate::api::current_worker() {
-        if let Some(w) = me.runtime().workers.get(r) {
+        if let Some(w) = me.runtime().workers.get(r).filter(|w| w.rank != me.rank) {
             w.unpark();
             // The owner may instead be *busy* with an elided tick (it ran
             // out of other work before this waiter was armed). Restore its

@@ -488,7 +488,7 @@ fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter
         Arc::increment_strong_count(t as *const Ult);
         Arc::from_raw(t as *const Ult)
     };
-    crate::sched::on_preempted(rt, w, t_arc);
+    crate::sched::on_preempted(rt, w, t_arc, true);
 
     // Now it is safe to hand the worker's scheduler to the new KLT.
     k2.unpark_home();

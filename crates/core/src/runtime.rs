@@ -152,11 +152,19 @@ impl RuntimeInner {
     /// SeqCst fence pairs with the one in `idle_wait`: without it, this
     /// side can read a stale `idle == false` while the worker reads a
     /// stale empty pool — a lost wakeup that strands queued work forever.
-    pub(crate) fn wake_one_idle(&self) {
+    ///
+    /// `caller` is the worker the calling context embodies, if it is one of
+    /// ours, and is never the one elected. Its `idle` flag can be up — a
+    /// worker delivers readiness from inside its own `shard_park` — but it
+    /// is awake and rescans its pools when the park returns; a token for
+    /// itself would only send its next park straight back through
+    /// `idle_wait`, and would leave a truly idle peer asleep.
+    pub(crate) fn wake_one_idle(&self, caller: Option<&Worker>) {
         std::sync::atomic::fence(Ordering::SeqCst);
         let active = self.active_workers.load(Ordering::Acquire);
+        let caller = caller.map(|c| c.rank);
         for w in self.workers.iter().take(active) {
-            if w.idle.load(Ordering::SeqCst) {
+            if Some(w.rank) != caller && w.idle.load(Ordering::SeqCst) {
                 w.unpark();
                 return;
             }

@@ -47,12 +47,21 @@ pub(crate) fn pick(rt: &RuntimeInner, w: &Worker) -> Option<Arc<Ult>> {
 /// back like everyone else, so it cannot starve its peers.
 ///
 /// Wake policy (load-bearing): the owner of the pool that received the
-/// push is ALWAYS unparked, unconditionally. Waking "some idle worker"
-/// based on idle-flag scans loses wakeups — two quick pushes can both
-/// pick the same stale-flagged worker while the pool owner sleeps forever
-/// with work queued (its busy peers never steal because their own pools
-/// never drain). Unconditional unparks are tokens: a non-parked owner
-/// absorbs them with one extra scheduler-loop iteration.
+/// push is ALWAYS unparked, unconditionally — except by the owner itself.
+/// Waking "some idle worker" based on idle-flag scans loses wakeups — two
+/// quick pushes can both pick the same stale-flagged worker while the pool
+/// owner sleeps forever with work queued (its busy peers never steal
+/// because their own pools never drain). Unconditional unparks are tokens:
+/// a non-parked owner absorbs them with one extra scheduler-loop iteration.
+///
+/// The exception is the rule of the whole ready path: the context that
+/// embodies `w` (`local`) never wakes `w` and never re-arms `w`'s tick for
+/// an occupant that cannot be preempted. The caller is running, so `w` is
+/// not parked, and its scheduler rescans the pools before it next parks; a
+/// `futex_wake` on itself, or electing itself in [`wake_one_idle`], buys
+/// nothing. See DESIGN.md "Who may wake or re-arm a worker".
+///
+/// [`wake_one_idle`]: RuntimeInner::wake_one_idle
 pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, local: bool) {
     // Queue-delay stamp for the adaptive quantum (coarse clock; lossy).
     t.ready_at_ns
@@ -72,9 +81,7 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                 w.note_latency_push(rt);
             }
             if wake {
-                w.unpark();
-                rt.wake_one_idle();
-                rearm_on_push(rt, w, local);
+                wake_for_push(rt, w, local);
             }
         }
         SchedPolicy::Packing => {
@@ -97,13 +104,19 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                 // shared pools are scanned by every active worker, so the
                 // strided pick is valid for them too). This replaces the
                 // old unpark-everyone storm, which cost one futex syscall
-                // per active worker per ready event.
-                hw.unpark();
+                // per active worker per ready event. A push to the caller's
+                // own pool wakes neither the owner nor, when the caller is
+                // active, the stride owner: both are the caller.
                 let active = rt
                     .active_workers
                     .load(Ordering::Acquire)
                     .clamp(1, rt.workers.len());
-                rt.workers[home % active].unpark();
+                if !self_push {
+                    hw.unpark();
+                }
+                if !self_push || home >= active {
+                    rt.workers[home % active].unpark();
+                }
                 if home >= active {
                     // Backstop: the stride owner above came from a single
                     // racy `active_workers` load. If a set_active_workers()
@@ -114,7 +127,7 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                     // (home >= active); wake_one_idle's SeqCst fence pairs
                     // with idle_wait, so a current active worker is
                     // guaranteed to rescan the pools.
-                    rt.wake_one_idle();
+                    rt.wake_one_idle(local.then_some(w));
                 }
             }
         }
@@ -142,12 +155,21 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                 w.note_latency_push(rt);
             }
             if wake {
-                w.unpark();
-                rt.wake_one_idle();
-                rearm_on_push(rt, w, local);
+                wake_for_push(rt, w, local);
             }
         }
     }
+}
+
+/// After a push to `w`'s own pools (work stealing, priority): wake the
+/// owner unless the caller is the owner, recruit one idle worker other than
+/// the caller, and restore the owner's tick if it was elided.
+fn wake_for_push(rt: &RuntimeInner, w: &Worker, local: bool) {
+    if !local {
+        w.unpark();
+    }
+    rt.wake_one_idle(local.then_some(w));
+    rearm_on_push(rt, w, local);
 }
 
 /// Tick-elision pusher hook: after publishing work to `target`'s pool and
@@ -159,8 +181,17 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
 /// Not called on the scheduler's own yield re-enqueue (`wake == false`) —
 /// that path dispatches again immediately and the dispatch-time state
 /// machine re-arms there.
+///
+/// `is_self`: the caller embodies `target` (its scheduler context or a ULT
+/// pinned on it). Then only a preemptive occupant gets its tick back. From
+/// the scheduler context or a `Nonpreemptive` ULT no tick could act before
+/// the next dispatch, and that dispatch's `update_tick_state` re-arms iff it
+/// runs a preemptive ULT with work queued — program order on one thread, so
+/// no Dekker pairing is involved (`rearm_from_handler` leans on the same
+/// argument). Re-arming here would be a `timer_settime` that the dispatch
+/// undoes with another.
 pub(crate) fn rearm_on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
-    if !rt.tick_elision {
+    if !rt.tick_elision || (is_self && !target.stats.current_kind_preemptive()) {
         return;
     }
     std::sync::atomic::fence(Ordering::SeqCst);
@@ -173,7 +204,7 @@ pub(crate) fn rearm_on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
         target.tick_elided.store(false, Ordering::SeqCst);
         target.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
     } else if is_self {
-        // Our own worker (pinned spawner / own scheduler): re-arm directly.
+        // Our own worker, running a preemptive spawner: re-arm directly.
         target.tick_elided.store(false, Ordering::SeqCst);
         rt.timers.rearm_worker(rt, target);
         crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 7, target.rank as u64);
@@ -228,12 +259,14 @@ fn nudge_elided(target: &Worker) {
 /// locks, no allocation (the ring was pre-grown by `reserve`). The caller
 /// is either `w`'s signal handler or its scheduler context, both of which
 /// hold owner rights on `w`'s own pools; pools of *other* workers (the
-/// Packing home route) must go through the remote inbox. The wake matters
-/// for KLT-switching: the handler pushes while the worker's scheduler runs
-/// concurrently on the replacement KLT and may have just idle-parked —
-/// without the unpark the push would be a lost wakeup.
+/// Packing home route) must go through the remote inbox. The wake of `w`
+/// matters for KLT-switching (`in_handler`): the handler pushes while the
+/// worker's scheduler runs concurrently on the replacement KLT and may have
+/// just idle-parked — without the unpark the push would be a lost wakeup.
+/// The scheduler context (signal-yield's `PreemptedSaved` return) is `w`
+/// itself, awake and about to pick, and does not wake itself.
 // sigsafe
-pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
+pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, in_handler: bool) {
     // Queue-delay stamp for the adaptive quantum (coarse clock; lossy).
     t.ready_at_ns
         .store(ult_sys::clock::now_coarse_ns(), Ordering::Relaxed);
@@ -246,7 +279,9 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
             if latency {
                 w.note_latency_push(rt);
             }
-            w.unpark();
+            if in_handler {
+                w.unpark();
+            }
         }
         // Packing: return to the home pool so the round-robin slicing over
         // shared pools advances to the next worker (§4.2).
@@ -262,8 +297,12 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
             if latency {
                 hw.note_latency_push(rt);
             }
-            hw.unpark();
-            w.unpark();
+            if in_handler || home != w.rank {
+                hw.unpark();
+            }
+            if in_handler {
+                w.unpark();
+            }
         }
         // Priority: newest-first slot of the LIFO pool "in order not to
         // hurt data locality during preemption" (§4.3).
@@ -275,7 +314,9 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
             if latency {
                 w.note_latency_push(rt);
             }
-            w.unpark();
+            if in_handler {
+                w.unpark();
+            }
         }
     }
 }
@@ -527,7 +568,7 @@ mod tests {
             let woken = pick_order(policy, |rt, w| on_ready(rt, w, lat(), true, true));
             assert_eq!(woken, [3, 1, 2], "{policy:?}");
             // Had the CPU and lost it or gave it up: behind the queue.
-            let preempted = pick_order(policy, |rt, w| on_preempted(rt, w, lat()));
+            let preempted = pick_order(policy, |rt, w| on_preempted(rt, w, lat(), false));
             assert_eq!(preempted, [1, 2, 3], "{policy:?}");
             let yielded = pick_order(policy, |rt, w| on_ready(rt, w, lat(), false, true));
             assert_eq!(yielded, [1, 2, 3], "{policy:?}");
@@ -537,6 +578,69 @@ mod tests {
             });
             assert_eq!(normal, [1, 2, 3], "{policy:?}");
         }
+    }
+
+    /// A push from worker 0's own context onto its elided self, under
+    /// `occupant`: `(tick_elided afterwards, tick re-arms, unparks)`.
+    fn self_push(policy: SchedPolicy, occupant: Option<ThreadKind>) -> (bool, u64, u64) {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            sched_policy: policy,
+            ..crate::Config::default()
+        });
+        let w = &rt.workers[0];
+        w.stats.set_current_kind(occupant);
+        w.tick_elided.store(true, Ordering::SeqCst);
+        on_ready(&rt, w, ult(1, SchedClass::Normal), true, true);
+        assert_eq!(pick(&rt, w).unwrap().id, 1, "{policy:?}");
+        (
+            w.tick_elided.load(Ordering::SeqCst),
+            w.stats.tick_rearms.load(Ordering::Relaxed),
+            w.stats.unparks.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn a_worker_neither_wakes_itself_nor_rearms_for_an_unpreemptible_occupant() {
+        for policy in [
+            SchedPolicy::WorkStealing,
+            SchedPolicy::Packing,
+            SchedPolicy::Priority,
+        ] {
+            // Scheduler context (on_finish, reactor delivery, join wake-up)
+            // and a nonpreemptive spawner: the tick stays elided, the next
+            // dispatch decides.
+            for occupant in [None, Some(ThreadKind::Nonpreemptive)] {
+                assert_eq!(
+                    self_push(policy, occupant),
+                    (true, 0, 0),
+                    "{policy:?} {occupant:?}"
+                );
+            }
+            // A preemptive spawner needs the tick to ever reach its child.
+            for kind in [ThreadKind::SignalYield, ThreadKind::KltSwitching] {
+                assert_eq!(
+                    self_push(policy, Some(kind)),
+                    (false, 1, 0),
+                    "{policy:?} {kind:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_remote_push_still_wakes_the_owner_and_asks_for_its_tick() {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            timer_strategy: crate::TimerStrategy::PerProcessChain,
+            ..crate::Config::default()
+        });
+        let w = &rt.workers[0];
+        w.tick_elided.store(true, Ordering::SeqCst);
+        on_ready(&rt, w, ult(1, SchedClass::Normal), true, false);
+        assert!(!w.tick_elided.load(Ordering::SeqCst));
+        assert_eq!(w.stats.tick_rearms.load(Ordering::Relaxed), 1);
+        assert_eq!(w.stats.unparks.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -761,7 +761,7 @@ fn handle_return(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
         SwitchReason::PreemptedSaved => {
             w.stats.preemptions.fetch_add(1, Ordering::Relaxed);
             t.set_state(UltState::Ready);
-            crate::sched::on_preempted(rt, w, t);
+            crate::sched::on_preempted(rt, w, t, false);
         }
         SwitchReason::Finished => {
             crate::debug_registry::event(crate::debug_registry::ev::FINISH, t.id, w.rank as u64);

@@ -139,6 +139,73 @@ fn preempts_within_bound_chain() {
     second_ult_preempted_within_bound(TimerStrategy::PerProcessChain);
 }
 
+/// The same edge from the inside: the sole, elided spinner spawns the
+/// second ULT itself — onto its own worker, from its own context — and keeps
+/// spinning. Nobody else will ever touch that worker's tick, so the push
+/// must re-arm it for the (preemptive) spawner right there.
+fn self_spawned_child_preempts_its_parent(strategy: TimerStrategy) {
+    let rt = start(strategy, 1);
+    let go = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let latency_ns = Arc::new(AtomicU64::new(0));
+    let spinner = {
+        let (go, stop, latency_ns) = (go.clone(), stop.clone(), latency_ns.clone());
+        rt.spawn_with(ThreadKind::SignalYield, Priority::High, move || {
+            while !go.load(Ordering::Acquire) {
+                core::hint::spin_loop();
+            }
+            let t0 = Instant::now();
+            let child = ult_core::api::spawn(ThreadKind::SignalYield, Priority::High, move || {
+                latency_ns.store(t0.elapsed().as_nanos() as u64, Ordering::Release);
+            });
+            while !stop.load(Ordering::Acquire) {
+                core::hint::spin_loop();
+            }
+            child.join();
+        })
+    };
+    // Let the worker settle into the elided state (sole spinner).
+    std::thread::sleep(Duration::from_millis(50));
+    go.store(true, Ordering::Release);
+    // The parent only stops once the child has run (or clearly will not).
+    let give_up = Instant::now() + Duration::from_secs(2);
+    while latency_ns.load(Ordering::Acquire) == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stop.store(true, Ordering::Release);
+    spinner.join();
+    rt.shutdown();
+
+    let lat = latency_ns.load(Ordering::Acquire);
+    assert!(
+        lat <= 10 * INTERVAL_NS,
+        "{strategy:?}: self-spawned ULT waited {:.1} ms behind its spinning parent \
+         (bound: {:.1} ms = 10 ticks)",
+        lat as f64 / 1e6,
+        (10 * INTERVAL_NS) as f64 / 1e6
+    );
+}
+
+#[test]
+fn self_spawn_preempts_within_bound_creation_time() {
+    self_spawned_child_preempts_its_parent(TimerStrategy::PerWorkerCreationTime);
+}
+
+#[test]
+fn self_spawn_preempts_within_bound_aligned() {
+    self_spawned_child_preempts_its_parent(TimerStrategy::PerWorkerAligned);
+}
+
+#[test]
+fn self_spawn_preempts_within_bound_one_to_all() {
+    self_spawned_child_preempts_its_parent(TimerStrategy::PerProcessOneToAll);
+}
+
+#[test]
+fn self_spawn_preempts_within_bound_chain() {
+    self_spawned_child_preempts_its_parent(TimerStrategy::PerProcessChain);
+}
+
 /// Preemption never fires while preemption is disabled: a ULT spinning
 /// inside a `UltLocal::with` closure (which pins the worker) is never
 /// descheduled mid-closure — a queued competitor on the same sole worker

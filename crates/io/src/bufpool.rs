@@ -147,8 +147,13 @@ impl Drop for IoBuf {
 mod tests {
     use super::*;
 
+    /// Both tests use pool 0 (off-runtime); run together, one can take the
+    /// buffer the other has just released.
+    static POOL_0: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn acquire_release_recycles() {
+        let _serial = POOL_0.lock().unwrap();
         let mut a = IoBuf::acquire();
         assert_eq!(a.len(), BUF_CAPACITY);
         a[0] = 0xAB;
@@ -163,6 +168,7 @@ mod tests {
 
     #[test]
     fn distinct_live_buffers() {
+        let _serial = POOL_0.lock().unwrap();
         let a = IoBuf::acquire();
         let b = IoBuf::acquire();
         assert_ne!(a.as_ptr(), b.as_ptr());

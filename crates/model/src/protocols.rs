@@ -18,7 +18,9 @@
 //! * [`ModelTick`] — the tick-elision Dekker pairing (`worker::try_elide`
 //!   vs `sched::rearm_on_push`): flag store, fence, work check — against —
 //!   work publish, fence, flag check. The invariant is that published
-//!   work never ends with the tick still elided.
+//!   work never ends with the tick still elided. [`tick_dispatch_vs_push`]
+//!   carries it across the dispatch that follows an owner's own push, which
+//!   leaves the flag up.
 //! * [`ModelShard`] / [`ModelInterest`] — the `ult-io` sharded-reactor
 //!   wake protocol (`io_hook::shard_park` publishing the per-worker
 //!   `reactor_park` flag vs a waker ringing that worker's eventfd
@@ -783,6 +785,75 @@ pub fn tick_elide_vs_push(weaken: bool) -> (usize, bool) {
         s.elided.store(false, flag_store);
     }
     pusher.join();
+    (
+        s.work.load(Ordering::Acquire),
+        s.elided.load(Ordering::Acquire),
+    )
+}
+
+/// The step after the pairing above, for a worker that enters it with its
+/// tick *already* elided: the owner's own push leaves the flag up (a worker
+/// never re-arms for an occupant that cannot be preempted — `rearm_on_push`
+/// with `is_self`, from the scheduler context), and the next dispatch has to
+/// settle it. Here that dispatch pops the pushed ULT, a preemptive one, and
+/// runs `update_tick_state`, while a remote pusher publishes a second ULT
+/// and — having seen the flag — nudges (`nudge_elided`).
+///
+/// The nudge is a signal: its handler runs on the owner's own thread between
+/// any two of the owner's steps (`poll` below; the signal's delivery is what
+/// orders it after the pusher's publish), and re-arms only over a preemptive
+/// occupant — otherwise it leaves the flag for "the next dispatch"
+/// (`rearm_from_handler`). So the flag outlives the handler exactly when the
+/// dispatch is still to come, and the dispatch re-reads the pools whatever
+/// the flag says.
+///
+/// Returns `(work, elided)` once the preemptive ULT occupies the worker and
+/// every signal is delivered; `(1, true)` is a spinner that nothing will
+/// ever preempt with a ULT queued behind it. `faithful = false` is a
+/// dispatch that trusts the flag ("still elided, so nothing was queued")
+/// and skips the pool read.
+pub fn tick_dispatch_vs_push(faithful: bool) -> (usize, bool) {
+    let s = Arc::new(ModelTick {
+        work: AtomicUsize::new(0),
+        elided: AtomicBool::new(true),
+    });
+    let nudge = Arc::new(AtomicBool::new(false));
+    let (s2, n2) = (s.clone(), nudge.clone());
+    let pusher = thread::spawn(move || {
+        s2.work.fetch_add(1, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if s2.elided.load(Ordering::SeqCst) {
+            n2.store(true, Ordering::Release);
+        }
+    });
+    // The preemption handler, if a nudge is pending.
+    let poll = |preemptive_occupant: bool| {
+        if nudge.swap(false, Ordering::AcqRel)
+            && s.elided.load(Ordering::SeqCst)
+            && preemptive_occupant
+        {
+            s.elided.store(false, Ordering::SeqCst);
+        }
+    };
+    // Scheduler context: the deferred self-push, then the pick.
+    poll(false);
+    s.work.fetch_add(1, Ordering::Release);
+    poll(false);
+    s.work.fetch_sub(1, Ordering::AcqRel);
+    poll(false);
+    // Dispatch of the preemptive ULT: `set_current_kind`, then
+    // `update_tick_state`.
+    poll(true);
+    // With nothing queued the dispatch goes to `try_elide`, which leaves an
+    // already elided tick as it is (only a handler that saw work clears the
+    // flag, so "nothing queued and not elided" cannot meet here).
+    if faithful && s.work.load(Ordering::Acquire) > 0 {
+        s.elided.swap(false, Ordering::SeqCst);
+    }
+    // The ULT runs; a nudge may still be on its way.
+    poll(true);
+    pusher.join();
+    poll(true);
     (
         s.work.load(Ordering::Acquire),
         s.elided.load(Ordering::Acquire),

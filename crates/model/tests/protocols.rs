@@ -68,6 +68,35 @@ fn weakened_tick_elision_strands_work() {
     );
 }
 
+/// A worker's own push leaves its elided tick alone; the dispatch that
+/// follows re-reads the pools, so a preemptive ULT never ends up running
+/// with work queued and no tick — wherever a remote pusher's nudge lands.
+#[test]
+fn tick_dispatch_after_self_push_never_strands_work() {
+    let outs = ult_model::outcomes(|| protocols::tick_dispatch_vs_push(true));
+    assert!(
+        !outs.iter().any(|&(work, elided)| work > 0 && elided),
+        "preemptive occupant, work queued, tick elided: {outs:?}"
+    );
+    assert!(
+        outs.contains(&(1, false)),
+        "the remote push was never modelled: {outs:?}"
+    );
+}
+
+/// A dispatch that trusts the flag instead of the pools does strand the
+/// remote push: the nudge found the scheduler context, deferred to "the
+/// next dispatch", and that dispatch never looked — so the test above has
+/// teeth.
+#[test]
+fn tick_dispatch_trusting_the_flag_strands_work() {
+    let outs = ult_model::outcomes(|| protocols::tick_dispatch_vs_push(false));
+    assert!(
+        outs.contains(&(1, true)),
+        "flag-trusting dispatch should reach the stranded state: {outs:?}"
+    );
+}
+
 /// The faithful shard-park/doorbell-wake pairing never leaves a worker
 /// inside `epoll_wait` with work published and the doorbell silent.
 #[test]

@@ -457,16 +457,21 @@ fn mcs_blocks_ult_not_worker() {
     let r = rt(1);
     let m = Arc::new(ult_sync::McsMutex::new(()));
     let c_ran = Arc::new(AtomicUsize::new(0));
-    let m1 = m.clone();
+    let b_asked = Arc::new(AtomicUsize::new(0));
+    let (m1, asked) = (m.clone(), b_asked.clone());
     let a = r.spawn(move || {
         let g = m1.lock();
-        for _ in 0..10 {
+        // Hold the lock until B has asked for it. On this one cooperative
+        // worker A only runs again once B has given the CPU up, which it
+        // does by parking in `lock`.
+        while asked.load(Ordering::SeqCst) == 0 {
             ult_core::yield_now();
         }
         drop(g);
     });
-    let m2 = m.clone();
+    let (m2, asked) = (m.clone(), b_asked.clone());
     let b = r.spawn(move || {
+        asked.store(1, Ordering::SeqCst);
         let _g = m2.lock();
     });
     let cr = c_ran.clone();

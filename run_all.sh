@@ -26,9 +26,10 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
-echo "== stress: sync primitives under preemption and the busy-worker echo, 20x, one CPU and all"
-# Both are races by nature (a tick inside a few-instruction window; a kick
-# racing a dispatch), and the one-CPU interleavings differ from the rest.
+echo "== stress: sync primitives under preemption, the busy-worker echo and the ready path, 20x, one CPU and all"
+# All are races by nature (a tick inside a few-instruction window; a kick
+# racing a dispatch; a push racing the owner's park), and the one-CPU
+# interleavings differ from the rest.
 cargo test -q -p integration-tests --no-run
 for pin in "taskset -c 0" ""; do
     for _ in $(seq 20); do
@@ -36,6 +37,10 @@ for pin in "taskset -c 0" ""; do
             sync_primitives_survive_preemptive_ults
         $pin cargo test -q -p integration-tests --test io busy_worker_echo_beats_the_tick
         $pin cargo test -q -p ult-sync --test sync_ult --test timeout
+        # A worker neither wakes itself nor re-arms for an occupant it
+        # cannot preempt, and a preemptive spawner still gets its tick.
+        $pin cargo test -q -p ult-core --test ready_path
+        $pin cargo test -q -p ult-core --test preempt_latency self_spawn
     done
 done
 # The wait queue under every ult-sync primitive: re-check under the lock and
@@ -44,6 +49,9 @@ cargo test -q -p ult-model --test protocols waitqueue_
 # The watcher's clear-then-signal order: faithful never loses the watch,
 # signal-then-clear provably does.
 cargo test -q -p ult-model --test protocols watch
+# The dispatch after an owner's own push (which leaves an elided tick
+# alone): re-reading the pools never strands work, trusting the flag does.
+cargo test -q -p ult-model --test protocols tick_dispatch
 
 echo "== async: future executor, waker edge cases, offload pool"
 cargo test -q -p ult-future
@@ -80,9 +88,9 @@ echo "== perf smoke: async task tax + offload-pool saturation ping (2x tripwire)
 ./target/release/bench_async --quick --out results/BENCH_async.json \
     --check results/BENCH_async_baseline.json
 
-echo "== benchmark smoke: echo_busy, echo_idle, sync_mutex, sync_chan, 2 s each, by the BENCHMARK.json command"
+echo "== benchmark smoke: forkjoin, echo_busy, echo_idle, sync_mutex, sync_mcs, sync_chan, 2 s each, by the BENCHMARK.json command"
 BENCH_CMD=$(python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
-for w in echo_busy echo_idle sync_mutex sync_chan; do
+for w in forkjoin echo_busy echo_idle sync_mutex sync_mcs sync_chan; do
     out=$($BENCH_CMD --workload "$w" --seed 7 --seconds 2 --trace 0 | tail -1)
     echo "$w: $out"
     case "$out" in
