@@ -1,4 +1,4 @@
-//! Adaptive-quantum benchmark: tail latency of a `Latency`-class ULT
+//! Adaptive-quantum ablation: tail latency of a `Latency`-class ULT
 //! arriving behind `Throughput`-class spinners, with the adaptive quantum
 //! on vs off, on one worker.
 //!
@@ -13,21 +13,17 @@
 //! same fixed amount of work stays within a few percent (the quantum
 //! stretches back once only `Throughput` work runs).
 //!
-//! Emits `BENCH_adaptive.json` and enforces two hard floors (exit 1):
+//! Prints both phases' wake-to-dispatch percentiles and completion times
+//! and enforces two hard floors (exit 1):
 //!
-//! * `fixed_over_adaptive_p99 ≥ 2` — the adaptive tick must at least
+//! * p99 fixed / p99 adaptive ≥ 2 — the adaptive tick must at least
 //!   halve the p99 wake-to-dispatch latency;
-//! * `adaptive_complete_ms ≤ 1.10 × fixed_complete_ms` — bought with at
+//! * adaptive completion ≤ 1.10 × fixed completion — bought with at
 //!   most 10% throughput loss on the fixed spinner workload.
 //!
-//! The usual `--check` regression tripwire (2×, run_all.sh) applies to
-//! the adaptive-side metrics; the fixed-side numbers are a property of
-//! the 4 ms base tick, not of the code under test.
-//!
-//! Usage:
-//!   bench_adaptive [--quick] [--out PATH] [--check BASELINE.json]
+//! Usage: `bench_adaptive [--quick]`
 
-use repro_bench::measure::{report_metrics, Metric};
+use repro_bench::measure::pct;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -130,22 +126,8 @@ fn run_phase(adaptive: bool, units: u64) -> (Vec<u64>, f64) {
     (samples, complete)
 }
 
-/// Percentile over a sorted slice (nearest-rank).
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let get_opt = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = get_opt("--out").unwrap_or_else(|| "results/BENCH_adaptive.json".into());
-    let baseline_path = get_opt("--check");
+    let quick = std::env::args().any(|a| a == "--quick");
 
     // Fixed work for the throughput-completion comparison; sized so the
     // full run collects a three-digit ping sample count.
@@ -161,50 +143,21 @@ fn main() {
     let p99_adaptive = us(pct(&adaptive, 0.99));
     let ratio = p99_fixed / p99_adaptive.max(0.001);
     let tput_factor = adaptive_complete / fixed_complete.max(1e-9);
-    let metrics = [
-        Metric {
-            name: "adaptive_p50_us",
-            value: us(pct(&adaptive, 0.50)),
-            checked: true,
-        },
-        Metric {
-            name: "adaptive_p99_us",
-            value: p99_adaptive,
-            checked: true,
-        },
-        Metric {
-            name: "fixed_p50_us",
-            value: us(pct(&fixed, 0.50)),
-            checked: false,
-        },
-        Metric {
-            name: "fixed_p99_us",
-            value: p99_fixed,
-            checked: false,
-        },
-        Metric {
-            name: "fixed_over_adaptive_p99",
-            value: ratio,
-            checked: false,
-        },
-        Metric {
-            name: "adaptive_complete_ms",
-            value: adaptive_complete * 1e3,
-            checked: false,
-        },
-        Metric {
-            name: "fixed_complete_ms",
-            value: fixed_complete * 1e3,
-            checked: false,
-        },
-        Metric {
-            name: "adaptive_over_fixed_complete",
-            value: tput_factor,
-            checked: false,
-        },
-    ];
-
-    report_metrics(&metrics, &out_path, baseline_path.as_deref());
+    println!("# Adaptive quantum vs fixed 4 ms tick: 1 worker, 2 Throughput spinners, {units} work units, Latency pinger every {} ms", PING_PERIOD.as_millis());
+    println!("quantum\tp50_us\tp99_us\tcomplete_ms");
+    for (mode, lat, complete) in [
+        ("fixed", &fixed, fixed_complete),
+        ("adaptive", &adaptive, adaptive_complete),
+    ] {
+        println!(
+            "{mode}\t{:.0}\t{:.0}\t{:.0}",
+            us(pct(lat, 0.50)),
+            us(pct(lat, 0.99)),
+            complete * 1e3
+        );
+    }
+    println!("p99 fixed/adaptive\t{ratio:.1}x (floor 2x)");
+    println!("completion adaptive/fixed\t{tput_factor:.3}x (budget 1.10x)");
 
     // Hard floors: the acceptance gates of the adaptive-quantum design.
     if ratio < 2.0 {
@@ -224,8 +177,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-    eprintln!(
-        "bench_adaptive: p99 fixed {p99_fixed:.0} us vs adaptive {p99_adaptive:.0} us \
-         ({ratio:.1}x), completion {tput_factor:.3}x"
-    );
 }

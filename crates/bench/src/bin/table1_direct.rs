@@ -9,6 +9,10 @@
 //! last stamp and the incoming entity's first stamp — that gap *is* the
 //! preemption overhead (signal/interrupt handling + context switch +
 //! scheduling). We report the median over all observed switches.
+//!
+//! One extra row carries the paper's §2.1 premise behind the table: an M:N
+//! fork+join (ULT spawn and join, from inside a ULT on one worker) against a
+//! 1:1 one (`std::thread::spawn` + `join`), median of N serial pairs each.
 
 use repro_bench::measure::median;
 use repro_bench::oneone::SpinnerPool;
@@ -69,6 +73,42 @@ fn mn_traces(kind: ThreadKind, park: KltParkMode, millis: u64) -> Vec<Vec<u64>> 
     traces
 }
 
+/// Median nanoseconds of `n` serial ULT spawn+join pairs, timed from inside
+/// a ULT on one worker with no timers.
+fn ult_spawn_join_ns(n: usize) -> u64 {
+    let rt = Runtime::start(Config {
+        num_workers: 1,
+        preempt_interval_ns: 0,
+        timer_strategy: TimerStrategy::None,
+        ..Config::default()
+    });
+    let samples = rt
+        .spawn(move || {
+            (0..n)
+                .map(|_| {
+                    let t0 = ult_sys::now_ns();
+                    ult_core::api::spawn(ThreadKind::Nonpreemptive, Priority::High, || {}).join();
+                    ult_sys::now_ns() - t0
+                })
+                .collect::<Vec<_>>()
+        })
+        .join();
+    rt.shutdown();
+    median(&samples)
+}
+
+/// Median nanoseconds of `n` serial `std::thread::spawn` + `join` pairs.
+fn std_spawn_join_ns(n: usize) -> u64 {
+    let samples: Vec<u64> = (0..n)
+        .map(|_| {
+            let t0 = ult_sys::now_ns();
+            std::thread::spawn(|| {}).join().unwrap();
+            ult_sys::now_ns() - t0
+        })
+        .collect();
+    median(&samples)
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // ~1000 preemptions at 10 ms needs ~10 s; scale down by default and
@@ -112,6 +152,17 @@ fn main() {
             median(&gaps) as f64 / 1000.0,
             gaps.len()
         );
+    }
+
+    // Fork+join: the §2.1 premise (user-level threading operations are far
+    // cheaper than kernel-thread ones).
+    {
+        let n = if quick { 1_000 } else { 10_000 };
+        let ult = ult_spawn_join_ns(n) as f64 / 1000.0;
+        let std = std_spawn_join_ns(n) as f64 / 1000.0;
+        println!("\n# spawn+join median, {n} serial pairs each (paper §2.1)");
+        println!("ult_us\tstd_thread_us\tstd_over_ult");
+        println!("{ult:.2}\t{std:.2}\t{:.0}x", std / ult.max(1e-3));
     }
 
     println!("\n# paper (Skylake): 1:1 = 2.8 us, signal-yield = 3.5 us, KLT-switching = 9.9 us");

@@ -55,11 +55,6 @@ pub struct Config {
     pub sched_policy: SchedPolicy,
     /// Default ULT stack size in bytes.
     pub stack_size: usize,
-    /// Initial capacity (in ULTs) reserved in every pool; pools grow outside
-    /// signal handlers as needed.
-    pub initial_pool_capacity: usize,
-    /// Pin each worker's KLT to core `rank % num_cpus` (paper §4).
-    pub pin_workers: bool,
     /// Number of KLTs to pre-create in the global pool (KLT-switching warms
     /// up faster when the creator is ahead of demand).
     pub spare_klts: usize,
@@ -67,17 +62,12 @@ pub struct Config {
     /// Table 1 instrumentation; 0 disables sampling).
     pub stat_samples: usize,
     /// Adaptive preemption quanta (LibPreemptible-style): when enabled,
-    /// each worker scales its own timer interval between
-    /// `preempt_interval_ns / quantum_floor_div` and
-    /// `preempt_interval_ns * quantum_ceil_mul`, shrinking when
-    /// latency-class work is queued (or dispatch delay exceeds the current
-    /// quantum) and stretching while only throughput-class work runs.
+    /// each worker scales its own timer interval between a quarter and four
+    /// times `preempt_interval_ns`, shrinking when latency-class work is
+    /// queued (or dispatch delay exceeds the current quantum) and stretching
+    /// while only throughput-class work runs.
     /// Disabled by default: the fixed tick reproduces the paper.
     pub adaptive_quantum: bool,
-    /// Divisor for the adaptive quantum floor (floor = base / this).
-    pub quantum_floor_div: u32,
-    /// Multiplier for the adaptive quantum ceiling (ceiling = base * this).
-    pub quantum_ceil_mul: u32,
     /// Hard cap on the elastic blocking-offload pool (`ult-future`'s
     /// `spawn_blocking`): plain KLTs that absorb unavoidable blocking
     /// syscalls so they never occupy a preemption-capable worker. The pool
@@ -99,13 +89,9 @@ impl Default for Config {
             klt_pool_policy: KltPoolPolicy::WorkerLocal,
             sched_policy: SchedPolicy::WorkStealing,
             stack_size: ult_arch::stack::DEFAULT_STACK_SIZE,
-            initial_pool_capacity: 1024,
-            pin_workers: false,
             spare_klts: 2,
             stat_samples: 0,
             adaptive_quantum: false,
-            quantum_floor_div: 4,
-            quantum_ceil_mul: 4,
             max_blocking_threads: 64,
             blocking_keep_alive_ms: 2_000,
         }
@@ -123,15 +109,6 @@ impl Config {
         }
         if self.stack_size < ult_arch::stack::MIN_STACK_SIZE {
             self.stack_size = ult_arch::stack::MIN_STACK_SIZE;
-        }
-        if self.initial_pool_capacity < 64 {
-            self.initial_pool_capacity = 64;
-        }
-        if self.quantum_floor_div == 0 {
-            self.quantum_floor_div = 1;
-        }
-        if self.quantum_ceil_mul == 0 {
-            self.quantum_ceil_mul = 1;
         }
         if self.max_blocking_threads == 0 {
             self.max_blocking_threads = 1;
@@ -174,19 +151,6 @@ mod tests {
         };
         let c = c.validated().unwrap();
         assert!(c.stack_size >= ult_arch::stack::MIN_STACK_SIZE);
-    }
-
-    #[test]
-    fn adaptive_knobs_normalized() {
-        let c = Config {
-            adaptive_quantum: true,
-            quantum_floor_div: 0,
-            quantum_ceil_mul: 0,
-            ..Config::default()
-        };
-        let c = c.validated().unwrap();
-        assert_eq!(c.quantum_floor_div, 1);
-        assert_eq!(c.quantum_ceil_mul, 1);
     }
 
     #[test]

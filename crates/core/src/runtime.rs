@@ -27,6 +27,10 @@ pub(crate) static LIVE: Mutex<Vec<(u64, usize)>> = Mutex::new(Vec::new());
 /// Source of `RuntimeInner::id`; starts at 1 so a watch-owner token is nonzero.
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1); // ordering: counter
 
+/// Capacity (in ULTs) reserved in every pool at start; pools grow outside
+/// signal handlers as needed (`ensure_pool_capacity`).
+const INITIAL_POOL_CAPACITY: usize = 1024;
+
 /// Shared runtime state (everything the schedulers and handlers touch).
 pub(crate) struct RuntimeInner {
     /// Process-unique id, never reused (key into [`LIVE`]).
@@ -87,14 +91,7 @@ impl RuntimeInner {
             KltPoolPolicy::WorkerLocal => 4,
         };
         let workers: Box<[Arc<Worker>]> = (0..n)
-            .map(|rank| {
-                Worker::new(
-                    rank,
-                    config.initial_pool_capacity,
-                    config.stat_samples,
-                    local_cap,
-                )
-            })
+            .map(|rank| Worker::new(rank, INITIAL_POOL_CAPACITY, config.stat_samples, local_cap))
             .collect();
 
         // Warm the coarse-clock resolution cache while no handler can run;
@@ -114,7 +111,7 @@ impl RuntimeInner {
             active_workers: AtomicUsize::new(n),
             live_ults: AtomicUsize::new(0),
             next_ult_id: AtomicU64::new(1),
-            pool_reserve_mark: AtomicUsize::new(config.initial_pool_capacity),
+            pool_reserve_mark: AtomicUsize::new(INITIAL_POOL_CAPACITY),
             spawn_rr: AtomicUsize::new(0),
             stack_cache: Mutex::new(Vec::new()),
             klt_registry: Mutex::new(Vec::new()),
@@ -136,9 +133,7 @@ impl RuntimeInner {
         if needed <= mark {
             return;
         }
-        let new_mark = needed
-            .next_power_of_two()
-            .max(self.config.initial_pool_capacity);
+        let new_mark = needed.next_power_of_two().max(INITIAL_POOL_CAPACITY);
         for w in self.workers.iter() {
             w.pool.reserve(new_mark);
             w.lo_pool.reserve(new_mark);
@@ -463,9 +458,6 @@ fn klt_main(rt: Arc<RuntimeInner>, klt: Arc<Klt>, first_worker: Option<usize>) {
         klt.worker.store(wp, Ordering::Release);
         w.current_klt
             .store(Arc::as_ptr(&klt) as *mut Klt, Ordering::Release);
-        if rt.config.pin_workers {
-            let _ = ult_sys::affinity::pin_to_cpu(klt.tid(), w.rank);
-        }
         // The worker's preemption timer follows it onto this KLT.
         rt.timers.rebind_worker_to(&rt, w, klt.tid());
         w.timer_rebind.store(false, Ordering::Release);

@@ -393,19 +393,24 @@ impl Worker {
     }
 }
 
-/// The adaptive quantum floor (base tick / `quantum_floor_div`).
+/// The adaptive quantum floor is the base tick divided by this.
+const QUANTUM_FLOOR_DIV: u64 = 4;
+/// The adaptive quantum ceiling is the base tick multiplied by this.
+const QUANTUM_CEIL_MUL: u64 = 4;
+
+/// The adaptive quantum floor (base tick / [`QUANTUM_FLOOR_DIV`]).
 #[inline]
 // sigsafe
 pub(crate) fn quantum_floor(rt: &RuntimeInner) -> u64 {
-    (rt.config.preempt_interval_ns / rt.config.quantum_floor_div as u64).max(1)
+    (rt.config.preempt_interval_ns / QUANTUM_FLOOR_DIV).max(1)
 }
 
-/// The adaptive quantum ceiling (base tick × `quantum_ceil_mul`).
+/// The adaptive quantum ceiling (base tick × [`QUANTUM_CEIL_MUL`]).
 #[inline]
 fn quantum_ceil(rt: &RuntimeInner) -> u64 {
     rt.config
         .preempt_interval_ns
-        .saturating_mul(rt.config.quantum_ceil_mul as u64)
+        .saturating_mul(QUANTUM_CEIL_MUL)
 }
 
 /// Dispatch-side half of the adaptive quantum, run right before
@@ -880,4 +885,21 @@ unsafe extern "C" fn ult_entry(arg: *mut core::ffi::c_void) -> ! {
         Context::switch(&mut dead, w.sched_ctx.get());
     }
     unreachable!("finished ULT resumed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn adaptive_quantum_spans_a_quarter_to_four_base_ticks() {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            preempt_interval_ns: 1_000_000,
+            adaptive_quantum: true,
+            ..crate::Config::default()
+        });
+        assert_eq!(quantum_floor(&rt), 250_000);
+        assert_eq!(quantum_ceil(&rt), 4_000_000);
+    }
 }

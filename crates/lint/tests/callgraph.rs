@@ -18,7 +18,7 @@ fn scan(path: &Path) -> ult_lint::FileScan {
     ult_lint::scan_file(path, &src)
 }
 
-/// The acceptance criterion for the pass: the seeded handler → helper →
+/// The acceptance test for the pass: the seeded handler → helper →
 /// `Box::new` chain is invisible to the annotation-local closure check
 /// (an annotated `helper` twin satisfies it) …
 #[test]

@@ -77,17 +77,20 @@ impl Default for OverheadParams {
         // Calibrated so the model keeps the paper's Skylake *shape*
         // (signal-yield ≈ timer-only; < 1% at 1 ms for optimized
         // KLT-switching; naive ≈ 2× optimized, paper §3.3), with the two
-        // single-event anchors replaced by this box's `bench_preempt`
-        // measurements (`results/BENCH_preempt_baseline.json`):
+        // single-event anchors replaced by measured per-event costs, the
+        // unit-cost probes of the end-to-end benchmark (`benchmark/`):
         //
-        // * `interrupt_ns` ← `useless_tick_ns` (kernel delivery + the
-        //   handler's coarse-deadline filter + sigreturn — the empty-handler
-        //   interruption the model charges per tick);
-        // * `ctx_switch_ns` ← `coop_yield_ns` (the minimal callee-saved
+        // * `interrupt_ns` ← `core.preempt.useless_tick_ns` (kernel
+        //   delivery + the handler's coarse-deadline filter + sigreturn —
+        //   the empty-handler interruption the model charges per tick);
+        // * `ctx_switch_ns` ← `core.yield_ns` (the minimal callee-saved
         //   user context switch, one yield through the scheduler).
         //
+        // `core.preempt.signal_yield_rt_ns` is the whole preempting tick the
+        // two stand in for (delivery, handler, switch out and back).
+        //
         // The KLT park/handoff constants stay at their paper-anchored
-        // values: this 1-core box cannot measure cross-KLT costs honestly.
+        // values: a 1-core host cannot measure cross-KLT costs honestly.
         OverheadParams {
             interrupt_ns: 1_000.0,
             ctx_switch_ns: 110.0,

@@ -62,42 +62,11 @@ cargo test -q -p ult-model --test protocols waker_
 
 cargo build --workspace --release
 
-mkdir -p results
-
-echo "== perf smoke: spawn/join hot paths vs committed baseline (2x tripwire)"
-./target/release/bench_spawn --quick --out results/BENCH_spawn.json \
-    --check results/BENCH_spawn_baseline.json
-
-echo "== perf smoke: preemption fast path vs committed baseline (2x tripwire)"
-./target/release/bench_preempt --quick --out results/BENCH_preempt.json \
-    --check results/BENCH_preempt_baseline.json
-
-echo "== perf smoke: echo tail latency, preemption on vs off (5x ratio floor + 2x tripwire)"
-./target/release/bench_echo --quick --out results/BENCH_io.json \
-    --check results/BENCH_io_baseline.json
-
-echo "== perf smoke: multi-worker echo throughput sweep vs committed baseline (2x tripwire)"
-./target/release/bench_echo --tput --quick --out results/BENCH_echo.json \
-    --check results/BENCH_echo_baseline.json
-
-echo "== perf smoke: adaptive quantum tail latency (2x ratio floor, 10% tput budget, 2x tripwire)"
-./target/release/bench_adaptive --quick --out results/BENCH_adaptive.json \
-    --check results/BENCH_adaptive_baseline.json
-
-echo "== perf smoke: async task tax + offload-pool saturation ping (2x tripwire)"
-./target/release/bench_async --quick --out results/BENCH_async.json \
-    --check results/BENCH_async_baseline.json
-
-echo "== benchmark smoke: forkjoin, echo_busy, echo_idle, sync_mutex, sync_mcs, sync_chan, 2 s each, by the BENCHMARK.json command"
-BENCH_CMD=$(python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
-for w in forkjoin echo_busy echo_idle sync_mutex sync_mcs sync_chan; do
-    out=$($BENCH_CMD --workload "$w" --seed 7 --seconds 2 --trace 0 | tail -1)
-    echo "$w: $out"
-    case "$out" in
-        *'"correct": true'*) ;;
-        *) echo "benchmark $w: correct != true" >&2; exit 1 ;;
-    esac
-done
+echo "== benchmark: its own tests (BENCHMARK.json == metric registry) and a smoke run"
+echo "==            of all eight workloads, untraced and traced (exit 1 on correct != true)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+BENCHMARK_CMD=$(python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
+$BENCHMARK_CMD --smoke
 
 run() {
     local name="$1"; shift
@@ -113,8 +82,7 @@ run fig8_hpgmg          # Figure 8
 run fig9_md             # Figure 9
 run ablation_timer      # §3.2 ablation
 run ablation_klt        # §3.3 ablation
-
-echo "== criterion microbenches"
-cargo bench -p repro-bench | tee results/microbench.txt
+run bench_echo          # echo p99, preemption on vs off (exit 1 below 5x)
+run bench_adaptive      # adaptive quantum vs fixed tick (exit 1 below 2x p99 or above 1.10x completion)
 
 echo "All experiment outputs are in results/."
