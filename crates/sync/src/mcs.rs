@@ -2,12 +2,23 @@
 //!
 //! Classic MCS (Mellor-Crummey & Scott) gives each contender its own queue
 //! node to spin on — no cache-line ping-pong on a shared word, FIFO
-//! fairness, O(1) handoff. The ULT twist: a contender spins only briefly;
-//! past the spin budget it **suspends as a user-level thread** and the
-//! releaser's handoff makes it ready again. A blocked locker therefore
-//! costs its worker nothing — the worker keeps running other ULTs — which
-//! is exactly the property plain spinning MCS forfeits under
-//! oversubscription (paper §2.1, §4.1).
+//! fairness, O(1) handoff. The ULT twist: a contender does not spin at all;
+//! it **parks at once as a user-level thread** and the releaser's handoff
+//! makes it ready again. A blocked locker therefore costs its worker
+//! nothing — the worker keeps running other ULTs — which is exactly the
+//! property plain spinning MCS forfeits under oversubscription (paper §2.1,
+//! §4.1). Even a short spin loses: the holder and the next grantee are ULTs
+//! too, and the worker a waiter spins on is one that could be running (or
+//! stealing) them, so every spun pause lengthens the convoy it waits in.
+//! Outside the runtime a waiter yields its OS thread instead — the policy
+//! of every waiter in this crate.
+//!
+//! The enqueue (allocate → tail swap → link) and the node's free run
+//! pinned to the worker. A signal-yield ULT must not be preempted inside
+//! `malloc`/`free` (paper §3.1.1), and a contender preempted between its
+//! swap and its link would leave the releaser spinning for the link —
+//! forever, if that releaser cannot be preempted and shares one worker with
+//! it.
 //!
 //! Handoff protocol (model: `mcs_handoff_vs_park` / `mcs_release_vs_enqueue`
 //! in `ult-model`):
@@ -33,15 +44,12 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 use ult_core::thread::Ult;
 
-/// Waiter has not been granted the lock and is spinning.
+/// Waiter has not been granted the lock and has not parked (yet).
 const WAITING: u32 = 0;
 /// The lock has been handed to this node's owner.
 const GRANTED: u32 = 1;
 /// The waiter parked as a ULT; a grant must wake it via the `ult` slot.
 const PARKED: u32 = 2;
-
-/// Spin iterations before a contender gives up and parks as a ULT.
-const SPIN_BUDGET: u32 = 200;
 
 /// One queue node; exclusively owned by one acquisition.
 struct QNode {
@@ -57,12 +65,25 @@ struct QNode {
 }
 
 impl QNode {
-    fn new() -> Box<QNode> {
-        Box::new(QNode {
+    /// A fresh node, owned through the raw pointer until [`QNode::free`].
+    /// Call it pinned (see the module docs).
+    fn alloc() -> *mut QNode {
+        Box::into_raw(Box::new(QNode {
             state: AtomicU32::new(WAITING),
             ult: AtomicPtr::new(ptr::null_mut()),
             next: AtomicPtr::new(ptr::null_mut()),
-        })
+        }))
+    }
+
+    /// Free a node from [`QNode::alloc`], pinned for the `free`.
+    ///
+    /// # Safety
+    /// `node` must be unreachable by every other thread.
+    unsafe fn free(node: *mut QNode) {
+        ult_core::preempt_disable();
+        // SAFETY: caller contract. (`QNode` has no `Drop`: this only frees.)
+        std::mem::drop(unsafe { Box::from_raw(node) });
+        ult_core::preempt_enable();
     }
 }
 
@@ -106,33 +127,41 @@ impl<T: ?Sized> McsMutex<T> {
     /// Try to acquire without queueing. Fails whenever the queue is
     /// non-empty (MCS has no barging — FIFO is the point).
     pub fn try_lock(&self) -> Option<McsGuard<'_, T>> {
-        let node = Box::into_raw(QNode::new());
-        match self
+        if self.is_locked() {
+            return None;
+        }
+        ult_core::preempt_disable();
+        let node = QNode::alloc();
+        let won = self
             .tail
             .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
-        {
-            Ok(_) => Some(McsGuard {
-                lock: self,
-                node,
-                _not_send: std::marker::PhantomData,
-            }),
-            Err(_) => {
-                // SAFETY: the node was never published.
-                drop(unsafe { Box::from_raw(node) });
-                None
-            }
+            .is_ok();
+        ult_core::preempt_enable();
+        if !won {
+            // SAFETY: the node was never published.
+            unsafe { QNode::free(node) };
+            return None;
         }
+        Some(McsGuard {
+            lock: self,
+            node,
+            _not_send: std::marker::PhantomData,
+        })
     }
 
-    /// Acquire, parking the ULT past a short spin budget. FIFO: waiters are
-    /// granted the lock in arrival order.
+    /// Acquire, parking the ULT at once if the lock is taken. FIFO: waiters
+    /// are granted the lock in arrival order.
     pub fn lock(&self) -> McsGuard<'_, T> {
-        let node = Box::into_raw(QNode::new());
+        ult_core::preempt_disable();
+        let node = QNode::alloc();
         let pred = self.tail.swap(node, Ordering::AcqRel);
         if !pred.is_null() {
             // SAFETY: a predecessor node stays alive until it grants us the
             // lock, and it cannot grant before we link into it.
             unsafe { (*pred).next.store(node, Ordering::Release) };
+        }
+        ult_core::preempt_enable();
+        if !pred.is_null() {
             // SAFETY: `node` is ours until GRANTED.
             unsafe { wait_for_grant(node) };
         }
@@ -149,24 +178,15 @@ impl<T: ?Sized> McsMutex<T> {
     }
 }
 
-/// Spin briefly on `node.state`, then suspend as a ULT (or OS-yield outside
-/// the runtime) until the releaser grants the lock.
+/// Suspend as a ULT (or OS-yield outside the runtime) until the releaser
+/// grants the lock.
 ///
 /// # Safety
 /// `node` must be the caller's own live queue node.
 unsafe fn wait_for_grant(node: *mut QNode) {
     // SAFETY: caller contract.
     let n = unsafe { &*node };
-    let mut spins = 0u32;
-    loop {
-        if n.state.load(Ordering::Acquire) == GRANTED {
-            return;
-        }
-        spins += 1;
-        if spins < SPIN_BUDGET {
-            core::hint::spin_loop();
-            continue;
-        }
+    while n.state.load(Ordering::Acquire) != GRANTED {
         if !ult_core::in_ult() {
             std::thread::yield_now();
             continue;
@@ -188,7 +208,7 @@ unsafe fn wait_for_grant(node: *mut QNode) {
                     true
                 }
                 Err(_) => {
-                    // The grant landed between our spin check and the CAS:
+                    // The grant landed between our check and the CAS:
                     // reclaim the published Arc and abort the block.
                     let raw = n.ult.swap(ptr::null_mut(), Ordering::AcqRel);
                     // SAFETY: the failed CAS means the granter saw WAITING
@@ -198,8 +218,8 @@ unsafe fn wait_for_grant(node: *mut QNode) {
                 }
             }
         });
-        // Woken (or the block aborted): the grant is either visible now or
-        // will be on the next spin iteration.
+        // Woken or aborted: both happen only after the grant, which the
+        // loop condition now sees.
     }
 }
 
@@ -222,11 +242,11 @@ impl<T: ?Sized> McsGuard<'_, T> {
                 // `mcs_release_vs_enqueue` — the CAS wins iff no contender
                 // swapped the tail first).
                 // SAFETY: unpublished; no other thread can reach the node.
-                drop(unsafe { Box::from_raw(node) });
+                unsafe { QNode::free(node) };
                 return;
             }
             // A contender swapped the tail but has not linked yet; its
-            // `next` store is imminent.
+            // `next` store is imminent (it links pinned, so it is running).
             loop {
                 next = n.next.load(Ordering::Acquire);
                 if !next.is_null() {
@@ -253,7 +273,7 @@ impl<T: ?Sized> McsGuard<'_, T> {
         }
         // SAFETY: the successor linked into our node before we granted it
         // and never touches it again; the node is exclusively ours to free.
-        drop(unsafe { Box::from_raw(node) });
+        unsafe { QNode::free(node) };
     }
 }
 

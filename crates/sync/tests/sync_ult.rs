@@ -448,9 +448,9 @@ fn mcs_mutual_exclusion_many_ults() {
 
 #[test]
 fn mcs_blocks_ult_not_worker() {
-    // One worker: A takes the MCS lock and yields; B exhausts its spin
-    // budget and parks as a ULT; C must still run (the worker is free);
-    // A releases, handing off to B.
+    // One worker: A takes the MCS lock and yields; B finds it taken and
+    // parks as a ULT at once; C must still run (the worker is free); A
+    // releases, handing off to B.
     let suspends_before = ult_core::stats::sync_counters()
         .mcs_suspends
         .load(Ordering::SeqCst);
@@ -515,8 +515,8 @@ fn mcs_fifo_handoff_order() {
             )
         })
         .collect();
-    // Let all four enqueue behind the held lock (each parks after its spin
-    // budget, freeing the single worker for the next spawner).
+    // Let all four enqueue behind the held lock (each parks as soon as it
+    // has enqueued, freeing the single worker for the next one).
     std::thread::sleep(std::time::Duration::from_millis(50));
     drop(g);
     for h in handles {

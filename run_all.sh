@@ -52,6 +52,10 @@ cargo test -q -p ult-model --test protocols watch
 # The dispatch after an owner's own push (which leaves an elided tick
 # alone): re-reading the pools never strands work, trusting the flag does.
 cargo test -q -p ult-model --test protocols tick_dispatch
+# McsMutex's two races (a waiter that parks at once races every grant):
+# publish-before-PARKED never loses the parked ULT, a Relaxed publication
+# provably does; releaser and enqueuer always agree on the next owner.
+cargo test -q -p ult-model --test protocols mcs_
 
 echo "== async: future executor, waker edge cases, offload pool"
 cargo test -q -p ult-future

@@ -63,11 +63,13 @@ fn klt_local_state_preserved_by_klt_switching() {
     rt.shutdown();
 }
 
-/// Preemptive ULTs on every `ult-sync` primitive built on the wait queue.
-/// The wake-up paths (unlock, notify, release, done) take the queue's spin
-/// lock outside `block_current`; a ULT preempted while holding it used to
-/// leave a worker spinning on that lock inside a pinned section — with one
-/// worker, in front of the holder.
+/// Preemptive ULTs on every `ult-sync` primitive built on the wait queue,
+/// and on `McsMutex`. The wake-up paths (unlock, notify, release, done)
+/// take the queue's spin lock outside `block_current`; a ULT preempted
+/// while holding it used to leave a worker spinning on that lock inside a
+/// pinned section — with one worker, in front of the holder. `McsMutex`'s
+/// releaser spins for a successor's link instead, so a nonpreemptive
+/// locker shares its lock with the preemptive ones.
 #[test]
 fn sync_primitives_survive_preemptive_ults() {
     const ROUNDS: usize = 20;
@@ -123,6 +125,7 @@ fn sync_primitives_survive_preemptive_ults() {
         // `WRITE_EVERY` iterations among read locks, a barrier every
         // `BARRIER_EVERY`, and a wait group that a fourth ULT waits on.
         let counter = Arc::new(ult_sync::Mutex::new(0u64));
+        let mcs = Arc::new(ult_sync::McsMutex::new(0u64));
         let sem = Arc::new(ult_sync::Semaphore::new(PERMITS));
         let inside = Arc::new(AtomicUsize::new(0));
         let rw = Arc::new(ult_sync::RwLock::new((0u64, 0u64)));
@@ -132,12 +135,13 @@ fn sync_primitives_survive_preemptive_ults() {
         wg.add(LOCKERS as usize);
         let lockers: Vec<_> = (0..LOCKERS)
             .map(|_| {
-                let (counter, sem, inside) = (counter.clone(), sem.clone(), inside.clone());
-                let (rw, barrier, leaders, wg) =
-                    (rw.clone(), barrier.clone(), leaders.clone(), wg.clone());
+                let (counter, mcs, sem) = (counter.clone(), mcs.clone(), sem.clone());
+                let (inside, rw, barrier) = (inside.clone(), rw.clone(), barrier.clone());
+                let (leaders, wg) = (leaders.clone(), wg.clone());
                 rt.spawn_with(kind, Priority::High, move || {
                     for i in 0..LOCKS_EACH {
                         *counter.lock() += 1;
+                        *mcs.lock() += 1;
                         sem.acquire();
                         assert!(inside.fetch_add(1, Ordering::SeqCst) < PERMITS);
                         inside.fetch_sub(1, Ordering::SeqCst);
@@ -158,6 +162,19 @@ fn sync_primitives_survive_preemptive_ults() {
                 })
             })
             .collect();
+        // A releaser that cannot be preempted on the same FIFO lock. It
+        // yields while holding it now and then, so the preemptive lockers
+        // queue behind it and it hands the lock to them.
+        let mcs2 = mcs.clone();
+        let np_locker = rt.spawn_with(ThreadKind::Nonpreemptive, Priority::High, move || {
+            for i in 0..LOCKS_EACH {
+                let mut g = mcs2.lock();
+                *g += 1;
+                if i % WRITE_EVERY == 0 {
+                    ult_core::yield_now();
+                }
+            }
+        });
         let (wg2, counter2) = (wg.clone(), counter.clone());
         let joiner = rt.spawn_with(kind, Priority::High, move || {
             wg2.wait();
@@ -170,7 +187,13 @@ fn sync_primitives_survive_preemptive_ults() {
         for l in lockers {
             l.join();
         }
+        np_locker.join();
         assert_eq!(*counter.lock(), LOCKERS * LOCKS_EACH, "{kind:?} x{workers}");
+        assert_eq!(
+            *mcs.lock(),
+            (LOCKERS + 1) * LOCKS_EACH,
+            "{kind:?} x{workers}"
+        );
         let writes = LOCKERS * LOCKS_EACH.div_ceil(WRITE_EVERY);
         assert_eq!(*rw.read(), (writes, writes), "{kind:?} x{workers}");
         assert_eq!(
