@@ -2,7 +2,8 @@
 //!
 //! These are the "explicit scheduling points" of the M:N model (paper §2.2)
 //! — `yield_now` plus the block/ready pair that `ult-sync` builds mutexes,
-//! condvars, barriers and channels from. All of them are user-space context
+//! condvars, barriers and channels from, and `yield_to`, the ready that also
+//! hands the caller's worker over. All of them are user-space context
 //! switches costing on the order of a hundred cycles.
 
 use crate::thread::{Ult, UltState};
@@ -241,6 +242,32 @@ where
 /// Not async-signal-safe (pool routing may touch parking locks upstream);
 /// preemption handlers use the internal captive path instead.
 pub fn make_ready(t: &Arc<Ult>) {
+    ready(t, false);
+}
+
+/// Reschedule a thread parked via [`block_current`] *and give it the
+/// caller's worker*: `t` goes into the worker's run-next slot, which the
+/// scheduler serves before any pool, and the caller yields to it. A lock
+/// handed over this way goes to a waiter that runs at once, not to one that
+/// first waits for a worker. Go's scheduler makes the same move with
+/// `runnext` for a starving `sync.Mutex`.
+///
+/// Does what [`make_ready`] does, without yielding, when
+/// * the caller is not a ULT of `t`'s runtime;
+/// * the caller already holds a pin (it must not suspend inside it);
+/// * the run-next slot is taken;
+/// * under [`crate::SchedPolicy::Priority`], `t` is low-priority and the
+///   worker's high-priority pool is not empty.
+pub fn yield_to(t: &Arc<Ult>) {
+    if ready(t, true) {
+        yield_now();
+    }
+}
+
+/// [`make_ready`], or with `hand_over` [`yield_to`] up to its yield:
+/// returns whether `t` went into the caller's run-next slot, in which case
+/// the caller must yield.
+fn ready(t: &Arc<Ult>, hand_over: bool) -> bool {
     // Wait for the blocker's context save to complete (nanoseconds: the
     // save is the very next instruction sequence after registration).
     while t.transit.load(Ordering::Acquire) {
@@ -252,18 +279,32 @@ pub fn make_ready(t: &Arc<Ult>) {
     let rt = unsafe { &*t.runtime_ptr() };
     match pin_current_worker() {
         Some(cw) if std::ptr::eq(cw.runtime(), rt) => {
-            crate::sched::on_ready(rt, cw, t.clone(), true, true);
+            // A ULT (not the scheduler context) whose only pin is ours.
+            let handed = hand_over
+                && !cw.current.load(Ordering::Acquire).is_null()
+                && cw.preempt_disabled.0.load(Ordering::Relaxed) == 1
+                && crate::sched::offer_run_next(rt, cw, t);
+            if handed {
+                // The caller is about to queue itself behind `t`: let an
+                // idle peer take it, as the push below would.
+                rt.wake_one_idle(Some(cw));
+            } else {
+                crate::sched::on_ready(rt, cw, t.clone(), true, true);
+            }
             cw.preempt_enable();
+            handed
         }
         Some(cw) => {
             // A worker of a *different* runtime: treat as external.
             cw.preempt_enable();
             let home = &rt.workers[t.home_pool % rt.workers.len()];
             crate::sched::on_ready(rt, home, t.clone(), true, false);
+            false
         }
         None => {
             let home = &rt.workers[t.home_pool % rt.workers.len()];
             crate::sched::on_ready(rt, home, t.clone(), true, false);
+            false
         }
     }
 }

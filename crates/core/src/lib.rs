@@ -64,7 +64,7 @@ pub(crate) mod worker;
 
 pub use api::{
     block_current, blocking_pool_limits, current_thread_id, current_thread_kind,
-    current_worker_rank, in_ult, make_ready, preempt_disable, preempt_enable, yield_now,
+    current_worker_rank, in_ult, make_ready, preempt_disable, preempt_enable, yield_now, yield_to,
     SpawnAttrs,
 };
 pub use config::{Config, KltParkMode, KltPoolPolicy, SchedPolicy};

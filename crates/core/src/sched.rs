@@ -22,7 +22,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Pick the next thread for worker `w`, or `None` if no work is visible.
+/// The run-next slot comes first under every policy.
 pub(crate) fn pick(rt: &RuntimeInner, w: &Worker) -> Option<Arc<Ult>> {
+    // SAFETY: owner access — `pick` runs on `w`'s scheduler context.
+    if let Some(t) = unsafe { (*w.run_next.get()).take() } {
+        return Some(t);
+    }
     match rt.config.sched_policy {
         SchedPolicy::WorkStealing => pick_work_stealing(rt, w),
         SchedPolicy::Packing => pick_packing(rt, w),
@@ -158,6 +163,40 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                 wake_for_push(rt, w, local);
             }
         }
+    }
+}
+
+/// Put the ready thread `t` in `w`'s run-next slot, so that `w`'s next
+/// [`pick`] returns it ahead of every pool. Refused (`false`) when the slot
+/// is taken, or under [`SchedPolicy::Priority`] when `t` is low-priority and
+/// `w`'s high pool holds work: the slot must not invert priorities (§4.3).
+///
+/// The caller is a ULT pinned on `w` that yields right after (see
+/// `api::yield_to`); the slot is therefore never full while `w` looks for
+/// work elsewhere, and no thief needs to see it.
+pub(crate) fn offer_run_next(rt: &RuntimeInner, w: &Worker, t: &Arc<Ult>) -> bool {
+    // SAFETY: owner access — the caller is pinned on `w`.
+    let slot = unsafe { &mut *w.run_next.get() };
+    let inverts = rt.config.sched_policy == SchedPolicy::Priority
+        && t.priority == Priority::Low
+        && !w.pool.is_empty();
+    if slot.is_some() || inverts {
+        return false;
+    }
+    // Queue-delay stamp for the adaptive quantum, as `on_ready` does.
+    t.ready_at_ns
+        .store(ult_sys::clock::now_coarse_ns(), Ordering::Relaxed);
+    *slot = Some(t.clone());
+    true
+}
+
+/// Empty `w`'s run-next slot into the pools through [`on_ready`]: a
+/// packing-suspended worker does this before it parks, so a thread handed
+/// to it just before the suspension is not stranded.
+pub(crate) fn release_run_next(rt: &RuntimeInner, w: &Worker) {
+    // SAFETY: owner access — called on `w`'s scheduler context.
+    if let Some(t) = unsafe { (*w.run_next.get()).take() } {
+        on_ready(rt, w, t, true, true);
     }
 }
 
@@ -529,12 +568,16 @@ mod tests {
     use crate::thread::ThreadKind;
 
     fn ult(id: u64, class: SchedClass) -> Arc<Ult> {
+        ult_at(id, Priority::High, class, 0)
+    }
+
+    fn ult_at(id: u64, priority: Priority, class: SchedClass, home: usize) -> Arc<Ult> {
         Ult::new(
             id,
             ThreadKind::SignalYield,
-            Priority::High,
+            priority,
             class,
-            0,
+            home,
             ult_arch::Stack::new(ult_arch::stack::MIN_STACK_SIZE).unwrap(),
             Box::new(|| {}),
         )
@@ -641,6 +684,58 @@ mod tests {
         assert!(!w.tick_elided.load(Ordering::SeqCst));
         assert_eq!(w.stats.tick_rearms.load(Ordering::Relaxed), 1);
         assert_eq!(w.stats.unparks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn run_next_is_picked_before_queued_work_under_every_policy() {
+        for policy in [
+            SchedPolicy::WorkStealing,
+            SchedPolicy::Packing,
+            SchedPolicy::Priority,
+        ] {
+            let order = pick_order(policy, |rt, w| {
+                assert!(offer_run_next(rt, w, &ult(3, SchedClass::Normal)));
+                // One slot: a second grantee is refused.
+                assert!(!offer_run_next(rt, w, &ult(4, SchedClass::Normal)));
+            });
+            assert_eq!(order, [3, 1, 2], "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn run_next_of_a_packing_suspended_worker_goes_back_to_a_pool() {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 2,
+            sched_policy: SchedPolicy::Packing,
+            ..crate::Config::default()
+        });
+        rt.active_workers.store(1, Ordering::Release);
+        let (active, suspended) = (&rt.workers[0], &rt.workers[1]);
+        // Homed on the suspended worker's own pool, the one nobody drains
+        // unless the active worker's scan covers it.
+        let t = ult_at(1, Priority::High, SchedClass::Normal, 1);
+        assert!(offer_run_next(&rt, suspended, &t));
+        release_run_next(&rt, suspended);
+        // SAFETY: no scheduler runs in this test.
+        assert!(unsafe { (*suspended.run_next.get()).is_none() });
+        assert_eq!(pick(&rt, active).map(|t| t.id), Some(1));
+    }
+
+    #[test]
+    fn run_next_never_lets_a_low_grantee_jump_high_work() {
+        let rt = RuntimeInner::new(crate::Config {
+            num_workers: 1,
+            sched_policy: SchedPolicy::Priority,
+            ..crate::Config::default()
+        });
+        let w = &rt.workers[0];
+        let low = ult_at(9, Priority::Low, SchedClass::Normal, 0);
+        on_ready(&rt, w, ult(1, SchedClass::Normal), true, true);
+        assert!(!offer_run_next(&rt, w, &low));
+        assert_eq!(pick(&rt, w).unwrap().id, 1);
+        // With the high pool empty the low grantee may run next.
+        assert!(offer_run_next(&rt, w, &low));
+        assert_eq!(pick(&rt, w).unwrap().id, 9);
     }
 
     #[test]

@@ -99,8 +99,8 @@ macro_rules! worker_counters {
             /// MCS mutex: lock handoffs published to a queued successor
             /// (process-global; see [`sync_counters`]).
             pub mcs_handoffs: u64,
-            /// MCS mutex: waiters that gave up spinning and suspended as ULTs
-            /// (process-global; see [`sync_counters`]).
+            /// MCS mutex: waiters that found the lock taken and parked as
+            /// ULTs (process-global; see [`sync_counters`]).
             pub mcs_suspends: u64,
             /// Async tasks spawned by `ult-future` (process-global).
             pub async_tasks: u64,
@@ -291,7 +291,7 @@ impl WorkerStats {
 pub struct SyncCounters {
     /// MCS mutex: handoffs published to a queued successor.
     pub mcs_handoffs: AtomicU64, // ordering: counter
-    /// MCS mutex: waiters that gave up spinning and suspended as ULTs.
+    /// MCS mutex: waiters that found the lock taken and parked as ULTs.
     pub mcs_suspends: AtomicU64, // ordering: counter
     /// `ult-future`: async tasks spawned (each rides one ULT).
     pub async_tasks: AtomicU64, // ordering: counter

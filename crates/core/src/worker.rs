@@ -161,12 +161,17 @@ pub(crate) struct Worker {
     /// Per-worker slab of finished ULT descriptors awaiting reuse by the
     /// spawn fast lane. Same owner-only access rule as `stack_cache`.
     pub(crate) ult_cache: UnsafeCell<Vec<Arc<Ult>>>,
+    /// The ULT this worker runs next, ahead of every pool: filled by
+    /// `api::yield_to` from a ULT pinned on this worker, which then yields,
+    /// and emptied by this worker's next `sched::pick`. Same owner-only
+    /// access rule as `stack_cache`; no thief ever sees it.
+    pub(crate) run_next: UnsafeCell<Option<Arc<Ult>>>,
 }
 
 // SAFETY: sched_ctx/sched_stack are confined to the embodying KLT; the
-// recycling caches are confined to owner contexts (scheduler context or a
-// ULT pinned on this worker — mutually exclusive by the preempt-disable
-// protocol); the rest is atomic.
+// recycling caches and the run-next slot are confined to owner contexts
+// (scheduler context or a ULT pinned on this worker — mutually exclusive by
+// the preempt-disable protocol); the rest is atomic.
 unsafe impl Send for Worker {}
 unsafe impl Sync for Worker {}
 
@@ -205,6 +210,7 @@ impl Worker {
             pack_phase: AtomicBool::new(false),
             stack_cache: UnsafeCell::new(Vec::new()),
             ult_cache: UnsafeCell::new(Vec::new()),
+            run_next: UnsafeCell::new(None),
         });
         // Seed the scheduler context.
         let arg = Arc::as_ptr(&w) as *mut core::ffi::c_void;
@@ -578,8 +584,10 @@ fn scheduler_loop(w: &Worker) -> ! {
         // the shard's `epoll_wait` (no work recheck — it must not pick up
         // ULTs) rather than the futex: fds bound to its shard stay
         // serviced, and `on_ready` routes any readiness it delivers to an
-        // active worker.
+        // active worker — as it does the run-next slot, which a ULT that was
+        // running here when the worker was suspended may just have filled.
         if w.rank >= rt.active_workers.load(Ordering::Acquire) {
+            crate::sched::release_run_next(rt, w);
             w.idle.store(true, Ordering::Release);
             if !crate::io_hook::shard_park(rt, w, false) {
                 w.wake.park();

@@ -2,9 +2,9 @@
 //!
 //! Reproduces the PR 2 review bug: `spawn` held the preemption pin across
 //! the stack `mmap`. Also seeds the spin-guard variant (KLT park under a
-//! held `SpinLock`). No `// sigsafe` code, no handler roots, no atomics —
-//! the closure, call-graph and ordering passes are all blind here; only
-//! the pin-discipline pass flags these.
+//! held `SpinLock`) and a pinned `yield_to` (a suspension point by name).
+//! No `// sigsafe` code, no handler roots, no atomics — the closure,
+//! call-graph and ordering passes are all blind here; only pindiscipline flags.
 //!
 //! Line numbers are pinned by `tests/pindiscipline.rs` — edit with care.
 
@@ -54,3 +54,10 @@ fn park_for_items() {}
 
 fn pin_current_worker() {}
 fn preempt_enable() {}
+
+/// A lock release that hands its worker to the grantee, inside a pin.
+pub fn unlock_pinned(grantee: &Ult) {
+    pin_current_worker();
+    yield_to(grantee); // line 61: flagged when `api.rs`'s `yield_to` is in scope
+    preempt_enable();
+}

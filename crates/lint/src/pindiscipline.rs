@@ -59,6 +59,7 @@ const SUSPEND_SEEDS: &[(&str, &str)] = &[
     ("api.rs", "block_current"),
     ("api.rs", "block_on_join"),
     ("api.rs", "yield_core"),
+    ("api.rs", "yield_to"),
     ("time.rs", "sleep"),
     ("time.rs", "block_until"),
     ("time.rs", "block_for"),

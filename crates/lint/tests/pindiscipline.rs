@@ -56,6 +56,26 @@ fn pin_pass_flags_both_seeded_shapes_at_exact_lines() {
     );
 }
 
+/// `yield_to` suspends by its seed alone: given an `api.rs` whose
+/// `yield_to` has an empty body, the fixture's pinned call flags as a third
+/// finding.
+#[test]
+fn yield_to_under_a_pin_flags_by_its_seed() {
+    let mut srcs = sources(&fixture("pin_suspend.rs"));
+    srcs.push((
+        PathBuf::from("crates/core/src/api.rs"),
+        "pub fn yield_to(t: &Ult) {}\n".to_string(),
+    ));
+    let d = pindiscipline::check(&srcs, &Waivers::empty());
+    assert_eq!(d.len(), 3, "{d:#?}");
+    assert_eq!(d[2].line, 61, "the pinned yield_to call site");
+    assert!(
+        d[2].message.contains("`yield_to`") && d[2].message.contains("pin held since line 60"),
+        "{}",
+        d[2].message
+    );
+}
+
 /// A waiver keyed on the containing function suppresses its finding;
 /// the other finding survives.
 #[test]

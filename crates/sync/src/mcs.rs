@@ -13,6 +13,20 @@
 //! Outside the runtime a waiter yields its OS thread instead — the policy
 //! of every waiter in this crate.
 //!
+//! The releaser hands over its worker with the lock: a granted waiter that
+//! had parked is passed to [`ult_core::yield_to`], which puts it in the
+//! releaser's worker's run-next slot and yields, so the grantee runs next
+//! on that worker and the releaser queues behind it (where an idle peer may
+//! steal it). Handing the lock to a waiter that still has to find a worker
+//! was a convoy: every acquisition waited a scheduling round for its
+//! grantee. `yield_to` falls back to a plain wake-up that does not yield
+//! when the releaser is not a ULT of the grantee's runtime, releases inside
+//! its own pinned section, finds the slot taken, or would let a
+//! low-priority grantee jump queued high-priority work. The slot belongs to
+//! one worker and is only touched by that worker's scheduler or a ULT
+//! pinned on it, so it needs no atomics; it is never visible to thieves
+//! because the owner's very next pick empties it.
+//!
 //! The enqueue (allocate → tail swap → link) and the node's free run
 //! pinned to the worker. A signal-yield ULT must not be preempted inside
 //! `malloc`/`free` (paper §3.1.1), and a contender preempted between its
@@ -29,7 +43,8 @@
 //!   aborts the block.
 //! * The releaser swaps `state` to GRANTED (AcqRel). Seeing PARKED, it
 //!   loads the slot (Acquire) — the waiter's Release slot store is ordered
-//!   before its PARKED CAS, so the slot is never empty — and wakes the ULT.
+//!   before its PARKED CAS, so the slot is never empty — frees its own
+//!   node, and yields to the ULT.
 //!
 //! Nodes are heap-allocated per acquisition (the guard, not the stack
 //! frame, must own the node: the locking ULT may migrate workers, and the
@@ -225,7 +240,8 @@ unsafe fn wait_for_grant(node: *mut QNode) {
 
 impl<T: ?Sized> McsGuard<'_, T> {
     /// Release: hand off to the successor if one is queued, else swing the
-    /// tail back to null. Frees this acquisition's node either way.
+    /// tail back to null. Frees this acquisition's node either way. A
+    /// successor that parked runs next on this worker.
     fn unlock(&mut self) {
         let node = self.node;
         // SAFETY: the node is ours until we grant a successor or unpublish.
@@ -255,25 +271,28 @@ impl<T: ?Sized> McsGuard<'_, T> {
                 core::hint::spin_loop();
             }
         }
-        // Grant: flip the successor's state; if it parked, wake its ULT.
+        // Grant: flip the successor's state; if it parked, take its ULT.
         ult_core::stats::sync_counters()
             .mcs_handoffs
             .fetch_add(1, Ordering::Relaxed);
         // SAFETY: the successor's node stays alive until we grant it.
         let succ = unsafe { &*next };
-        if succ.state.swap(GRANTED, Ordering::AcqRel) == PARKED {
+        let parked = (succ.state.swap(GRANTED, Ordering::AcqRel) == PARKED).then(|| {
             let raw = succ.ult.swap(ptr::null_mut(), Ordering::AcqRel);
             // The slot cannot be empty: PARKED is only set after the
             // Release slot store (see module docs).
             debug_assert!(!raw.is_null());
             // SAFETY: the raw pointer came from Arc::into_raw in
             // wait_for_grant and ownership passes to us exactly once.
-            let t = unsafe { Arc::from_raw(raw as *const Ult) };
-            ult_core::make_ready(&t);
-        }
+            unsafe { Arc::from_raw(raw as *const Ult) }
+        });
         // SAFETY: the successor linked into our node before we granted it
         // and never touches it again; the node is exclusively ours to free.
         unsafe { QNode::free(node) };
+        // Hand the worker over with the lock (see module docs).
+        if let Some(t) = parked {
+            ult_core::yield_to(&t);
+        }
     }
 }
 

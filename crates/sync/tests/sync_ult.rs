@@ -495,6 +495,56 @@ fn mcs_blocks_ult_not_worker() {
     r.shutdown();
 }
 
+const RELEASER: usize = 1;
+const GRANTEE: usize = 2;
+
+/// On one cooperative worker, which of `RELEASER` and `GRANTEE` reaches its
+/// next statement first after a contended `McsMutex` unlock. With `pinned`
+/// the releaser drops its guard inside `preempt_disable`/`preempt_enable`.
+fn first_after_contended_mcs_unlock(pinned: bool) -> usize {
+    let r = rt(1);
+    let m = Arc::new(ult_sync::McsMutex::new(()));
+    let asked = Arc::new(AtomicBool::new(false));
+    let first = Arc::new(AtomicUsize::new(0));
+    let (m1, asked1, first1) = (m.clone(), asked.clone(), first.clone());
+    let releaser = r.spawn(move || {
+        let g = m1.lock();
+        // The grantee parks in `lock` as soon as it has asked.
+        yield_until(&asked1);
+        if pinned {
+            ult_core::preempt_disable();
+            drop(g);
+            ult_core::preempt_enable();
+        } else {
+            drop(g);
+        }
+        let _ = first1.compare_exchange(0, RELEASER, Ordering::SeqCst, Ordering::SeqCst);
+    });
+    let (m2, first2) = (m.clone(), first.clone());
+    let grantee = r.spawn(move || {
+        asked.store(true, Ordering::SeqCst);
+        let _g = m2.lock();
+        let _ = first2.compare_exchange(0, GRANTEE, Ordering::SeqCst, Ordering::SeqCst);
+    });
+    releaser.join();
+    grantee.join();
+    r.shutdown();
+    first.load(Ordering::SeqCst)
+}
+
+#[test]
+fn mcs_grantee_runs_before_its_releaser_continues() {
+    // The releaser hands its worker over with the lock.
+    assert_eq!(first_after_contended_mcs_unlock(false), GRANTEE);
+}
+
+#[test]
+fn mcs_pinned_releaser_wakes_without_yielding() {
+    // Inside a pinned section the releaser must not suspend: the grantee is
+    // only made ready, and the releaser carries on first.
+    assert_eq!(first_after_contended_mcs_unlock(true), RELEASER);
+}
+
 #[test]
 fn mcs_fifo_handoff_order() {
     // Waiters are granted in arrival order: the holder releases and each

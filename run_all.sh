@@ -41,6 +41,10 @@ for pin in "taskset -c 0" ""; do
         # cannot preempt, and a preemptive spawner still gets its tick.
         $pin cargo test -q -p ult-core --test ready_path
         $pin cargo test -q -p ult-core --test preempt_latency self_spawn
+        # The run-next slot an McsMutex grant fills: picked first under
+        # every policy, never stranded on a packing-suspended worker, never
+        # a priority inversion.
+        $pin cargo test -q -p ult-core --lib run_next
     done
 done
 # The wait queue under every ult-sync primitive: re-check under the lock and
