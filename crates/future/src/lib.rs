@@ -13,7 +13,8 @@
 //!   returned [`JoinHandle`] is itself awaitable (and joinable from
 //!   non-async ULTs or external threads).
 //! * [`block_on`] — drive a future on the current ULT (or, outside the
-//!   runtime, on the current OS thread) to completion.
+//!   runtime, on the current OS thread) to completion (re-exported from
+//!   `ult-io`, which parks every blocking socket and timed wait with it).
 //! * [`spawn_blocking`] — offload unavoidably-blocking work to an elastic
 //!   pool of plain KLTs (see [`blocking`]) so it never captures a worker.
 //! * Leaf resources — [`AsyncTcpListener`] / [`AsyncTcpStream`] over the
@@ -23,8 +24,8 @@
 //! Under the hood there is no poll loop and no task queue: a `Pending`
 //! task parks its ULT through the runtime's ordinary
 //! `block_current`/`make_ready` pair, and `Waker::wake` reduces to
-//! `make_ready` (see `task.rs` for the claim state machine that makes a
-//! wake racing a pending park lossless).
+//! `make_ready` (see `ult-io`'s `task.rs` for the claim state machine that
+//! makes a wake racing a pending park lossless).
 //!
 //! ## Quick start
 //!
@@ -48,20 +49,18 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod blocking;
-mod task;
 
 use std::any::Any;
 use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll};
 use ult_core::SpawnAttrs;
 use ult_sync::oneshot::{self, Receiver};
 
 pub use blocking::spawn_blocking;
-pub use ult_io::{AsyncTcpListener, AsyncTcpStream, Sleep};
+pub use ult_io::{block_on, AsyncTcpListener, AsyncTcpStream, Sleep};
 
 /// A panic payload carried out of a task or a `spawn_blocking` job.
 type Payload = Box<dyn Any + Send + 'static>;
@@ -136,52 +135,9 @@ where
     // Detach the underlying ULT handle: task lifetime is tracked by the
     // oneshot, and the ULT's own JoinHandle would otherwise pin its stack.
     drop(ult_core::api::spawn_attrs(attrs, move || {
-        tx.send(catch_unwind(AssertUnwindSafe(|| task::drive(fut))));
+        tx.send(catch_unwind(AssertUnwindSafe(|| block_on(fut))));
     }));
     JoinHandle { rx }
-}
-
-/// `Waker` for [`block_on`] outside the runtime: parks/unparks the
-/// caller's plain OS thread on a private futex (tokens are counted, so a
-/// wake that lands before the park is banked, never lost).
-struct ExtWaker {
-    futex: ult_sys::futex::Futex,
-}
-
-impl Wake for ExtWaker {
-    fn wake(self: Arc<Self>) {
-        self.futex.unpark();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.futex.unpark();
-    }
-}
-
-/// Drive `fut` to completion on the calling thread.
-///
-/// Inside the runtime the current ULT becomes the task: `Pending` parks it
-/// through the ordinary block/ready path, preemption and priorities keep
-/// applying. Outside the runtime the plain OS thread parks on a futex —
-/// but note that leaf futures needing the reactor ([`sleep`], async
-/// sockets) require a running runtime to complete.
-// ult-context
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    if ult_core::in_ult() {
-        return task::drive(fut);
-    }
-    let ext = Arc::new(ExtWaker {
-        futex: ult_sys::futex::Futex::new(),
-    });
-    let waker = Waker::from(ext.clone());
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-            return v;
-        }
-        // blocking-ok: plain-KLT fallback path, only taken outside the runtime
-        ext.futex.park();
-    }
 }
 
 /// Sleep this async task for `dur` on the reactor's sharded timer wheel.

@@ -1,20 +1,23 @@
-//! Async (`Future`-surface) sockets.
+//! Async (`Future`-surface) sockets, and the one op core both socket
+//! faces share.
 //!
-//! The poll-based siblings of [`crate::net`]: the same nonblocking fds and
-//! reactor registration, but `WouldBlock` **registers the task's waker and
-//! returns `Poll::Pending`** instead of parking a ULT. Readiness claims the
-//! waker-bound [`crate::TimedWaiter`] and `Waker::wake` reschedules the
-//! task (for `ult-future` tasks that reduces to `make_ready`); the re-poll
-//! re-runs the nonblocking syscall. Level-triggered sticky interest makes
-//! register-then-Pending safe: readiness that predates the arm is
-//! re-reported (see the reactor module docs).
+//! [`poll_op`] runs a nonblocking syscall; on `WouldBlock` it registers
+//! the task's waker for readiness (and the op's deadline on the shard
+//! wheel) and returns `Poll::Pending`. Readiness claims the waker-bound
+//! [`crate::TimedWaiter`] and `Waker::wake` reschedules the task (for a
+//! driven task that reduces to `make_ready`); the re-poll re-runs the
+//! syscall, or reports `TimedOut` once the deadline has passed.
+//! Level-triggered sticky interest makes register-then-Pending safe:
+//! readiness that predates the arm is re-reported (see the reactor module
+//! docs). The `AsyncTcp*` types here are the async face; the blocking
+//! face in [`crate::net`] drives the same `poll_op` through `block_on`.
 //!
-//! These types are consumed through `ult-future`, whose executor supplies
-//! the wakers; any other executor works too — the wakers are ordinary
-//! `std::task::Waker`s.
+//! The async types are consumed through `ult-future`, whose executor
+//! supplies the wakers; any other executor works too — the wakers are
+//! ordinary `std::task::Waker`s.
 
 use crate::net::Registration;
-use crate::reactor::{register_readiness, Dir};
+use crate::reactor::{self, register_readiness, Dir};
 use std::future::poll_fn;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
@@ -22,25 +25,37 @@ use std::os::unix::io::AsRawFd;
 use std::task::{Context, Poll};
 
 /// Run `op` (a nonblocking syscall) once; on `WouldBlock`, register the
-/// task's waker for `dir` readiness and report `Pending`.
-fn poll_op<T>(
+/// task's waker for `dir` readiness until `deadline` (absolute monotonic
+/// ns) and report `Pending`, or report `TimedOut` when it has passed.
+pub(crate) fn poll_op<T>(
     reg: &Registration,
     dir: Dir,
+    deadline: Option<u64>,
     cx: &mut Context<'_>,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> Poll<io::Result<T>> {
+    reactor::note_wake(&reg.entry, dir);
     loop {
         match op() {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if let Err(e) = register_readiness(&reg.entry, dir, cx.waker()) {
-                    return Poll::Ready(Err(e));
+                if deadline.is_some_and(|d| ult_sys::now_ns() >= d) {
+                    reactor::clear_expired(&reg.entry, dir);
+                    return Poll::Ready(Err(timed_out()));
                 }
-                return Poll::Pending;
+                return match register_readiness(&reg.entry, dir, cx.waker(), deadline) {
+                    Ok(()) => Poll::Pending,
+                    Err(e) => Poll::Ready(Err(e)),
+                };
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             other => return Poll::Ready(other),
         }
     }
+}
+
+/// The error a per-op deadline ends an op with.
+pub(crate) fn timed_out() -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, "I/O deadline elapsed")
 }
 
 /// An async TCP listener (the `Future`-surface sibling of
@@ -67,7 +82,7 @@ impl AsyncTcpListener {
         &self,
         cx: &mut Context<'_>,
     ) -> Poll<io::Result<(AsyncTcpStream, SocketAddr)>> {
-        match poll_op(&self.reg, Dir::Read, cx, || self.inner.accept()) {
+        match poll_op(&self.reg, Dir::Read, None, cx, || self.inner.accept()) {
             Poll::Ready(Ok((s, addr))) => {
                 Poll::Ready(AsyncTcpStream::from_std(s).map(|s| (s, addr)))
             }
@@ -115,12 +130,12 @@ impl AsyncTcpStream {
 
     /// Poll-read into `buf`.
     pub fn poll_read(&self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        poll_op(&self.reg, Dir::Read, cx, || (&self.inner).read(buf))
+        poll_op(&self.reg, Dir::Read, None, cx, || (&self.inner).read(buf))
     }
 
     /// Poll-write from `buf`.
     pub fn poll_write(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        poll_op(&self.reg, Dir::Write, cx, || (&self.inner).write(buf))
+        poll_op(&self.reg, Dir::Write, None, cx, || (&self.inner).write(buf))
     }
 
     /// Read into `buf`, suspending the task until data (or EOF) arrives.

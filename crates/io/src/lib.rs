@@ -17,13 +17,19 @@
 //!   KLT, and fds follow the ULTs that wait on them: a socket registers
 //!   with the shard of the worker that first blocks on it and cheaply
 //!   rebinds after a migration, so readiness fires where it is consumed.
-//! * **Sockets** ([`TcpListener`], [`TcpStream`], [`UdpSocket`]): blocking
-//!   `std::net`-shaped APIs over nonblocking fds; `WouldBlock` suspends
-//!   the ULT through the runtime's ordinary block/ready path and fd
-//!   readiness re-pushes it to its home worker. Listeners drain bursty
-//!   backlogs in one park via [`TcpListener::accept_batch`]; streams do
-//!   scatter/gather I/O via [`TcpStream::read_vectored`] /
-//!   [`TcpStream::write_vectored`].
+//! * **Sockets** ([`TcpListener`], [`TcpStream`], [`UdpSocket`] and the
+//!   async [`AsyncTcpListener`], [`AsyncTcpStream`]): one op core over
+//!   nonblocking fds with two faces. A `WouldBlock` registers the task's
+//!   waker for readiness (and the op's deadline) and returns `Pending`;
+//!   the blocking `std::net`-shaped face is [`block_on`] of that op, so
+//!   the ULT parks through the future driver and fd readiness re-pushes it
+//!   to its home worker. Listeners drain bursty backlogs in one park via
+//!   [`TcpListener::accept_batch`]; streams do scatter/gather I/O via
+//!   [`TcpStream::read_vectored`] / [`TcpStream::write_vectored`].
+//! * **Future driver** ([`block_on`]): the one way this crate parks a ULT.
+//!   A pending future parks its ULT through a four-state waker claim
+//!   machine; sockets, timed waits, `ult-sync`'s `oneshot` and every
+//!   `ult-future` task are driven by it.
 //! * **Buffer pool** ([`IoBuf`]): per-worker recycled scratch buffers with
 //!   a bounded global overflow list — request handlers get allocation-free
 //!   buffers in steady state.
@@ -31,7 +37,7 @@
 //!   (one wheel per shard, serviced by its owner) driving `io::sleep`,
 //!   per-op socket timeouts, and the `wait_timeout` variants in
 //!   `ult-sync`. The [`TimedWaiter`] claim CAS arbitrates event-vs-deadline
-//!   races so a recycled ULT descriptor can never be woken twice.
+//!   races so a waiting task is woken exactly once.
 //!
 //! ## Quick start
 //!
@@ -57,6 +63,7 @@ mod anet;
 mod bufpool;
 mod net;
 mod reactor;
+mod task;
 mod time;
 mod waiter;
 mod wheel;
@@ -65,6 +72,7 @@ pub use anet::{AsyncTcpListener, AsyncTcpStream};
 pub use bufpool::{IoBuf, BUF_CAPACITY};
 pub use net::{TcpListener, TcpStream, UdpSocket};
 pub use reactor::{configure_shards, MAX_SHARDS};
+pub use task::block_on;
 pub use time::{block_for, block_until, sleep, sleep_future, sleep_until_ns, Sleep};
 pub use waiter::TimedWaiter;
 

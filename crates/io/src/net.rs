@@ -1,18 +1,22 @@
-//! ULT-blocking sockets.
+//! ULT-blocking sockets: the blocking face of the one socket op core.
 //!
 //! Thin wrappers over `std::net` sockets switched to nonblocking mode and
-//! registered with the reactor. Every operation runs the nonblocking
-//! syscall first; on `WouldBlock` the calling ULT registers interest and
-//! suspends (`block_current`), its KLT goes on running other ULTs, and fd
-//! readiness re-pushes the ULT to its home worker. From the caller's view
-//! the API is blocking `std::net`; from the kernel's view no runtime thread
-//! ever sleeps in a socket syscall.
+//! registered with the reactor. Every operation is `block_on` of the async
+//! op core (`anet.rs::poll_op`): the nonblocking syscall runs first; on
+//! `WouldBlock` the op registers interest and its deadline, the driver
+//! parks the ULT, its KLT goes on running other ULTs, and fd readiness
+//! re-pushes the ULT to its home worker. From the caller's view the API is
+//! blocking `std::net`; from the kernel's view no runtime thread ever
+//! sleeps in a socket syscall.
 //!
-//! Used outside the runtime (a plain OS thread), the same loops degrade to
+//! Used outside the runtime (a plain OS thread), the ops degrade to
 //! sleep-polling — correct, just not efficient; test clients use raw
 //! `std::net` instead.
 
-use crate::reactor::{self, wait_readiness, Dir, FdEntry};
+use crate::anet::{poll_op, timed_out};
+use crate::reactor::{self, Dir, FdEntry};
+use crate::task::block_on;
+use std::future::poll_fn;
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, FromRawFd};
@@ -55,18 +59,28 @@ fn store_timeout(slot: &AtomicU64, dur: Option<Duration>) {
     slot.store(ns, Ordering::Relaxed);
 }
 
-/// Retry `op` until it stops returning `WouldBlock`, suspending the calling
-/// ULT on fd readiness between attempts.
-fn retry<T>(
-    entry: &Arc<FdEntry>,
+/// Run `op` (a nonblocking syscall) until it stops returning
+/// `WouldBlock` or `deadline` passes. In a ULT this is the async op core
+/// under [`block_on`]: the ULT parks on fd readiness through the future
+/// driver. A plain OS thread has no driver and no reactor service to
+/// count on, so it sleep-polls.
+fn block_op<T>(
+    reg: &Registration,
     dir: Dir,
     deadline: Option<u64>,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
+    if ult_core::in_ult() {
+        return block_on(poll_fn(|cx| poll_op(reg, dir, deadline, cx, &mut op)));
+    }
     loop {
         match op() {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                wait_readiness(entry, dir, deadline)?;
+                if deadline.is_some_and(|d| ult_sys::now_ns() >= d) {
+                    return Err(timed_out());
+                }
+                // blocking-ok: plain-KLT fallback path, only taken outside the runtime
+                std::thread::sleep(Duration::from_micros(500));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             other => return other,
@@ -95,7 +109,7 @@ impl TcpListener {
     /// Accept one connection, suspending the calling ULT until a peer
     /// arrives. The returned stream is itself ULT-blocking.
     pub fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-        let (s, addr) = retry(&self.reg.entry, Dir::Read, None, || self.inner.accept())?;
+        let (s, addr) = block_op(&self.reg, Dir::Read, None, || self.inner.accept())?;
         Ok((TcpStream::from_std(s)?, addr))
     }
 
@@ -109,29 +123,27 @@ impl TcpListener {
     /// with the accepting worker's reactor shard, so handler ULTs spawned
     /// by the caller start life with their fd already affined.
     pub fn accept_batch(&self, max: usize) -> io::Result<Vec<(TcpStream, SocketAddr)>> {
+        let fd = self.inner.as_raw_fd();
         let mut out = Vec::new();
-        while out.len() < max.max(1) {
-            match ult_sys::sockio::accept4(self.inner.as_raw_fd()) {
+        let mut next = block_op(&self.reg, Dir::Read, None, || ult_sys::sockio::accept4(fd));
+        loop {
+            match next {
                 Ok((fd, addr)) => {
                     // SAFETY: freshly accepted fd, exclusively owned here.
                     // blocking-ok: from_raw_fd is a pure ownership wrapper around an already-open fd; no syscall, nothing to wait on
                     let s = unsafe { std::net::TcpStream::from_raw_fd(fd) };
                     out.push((TcpStream::from_accept4(s)?, addr));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if !out.is_empty() {
-                        break; // backlog drained
-                    }
-                    wait_readiness(&self.reg.entry, Dir::Read, None)?;
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    if out.is_empty() {
-                        return Err(e);
-                    }
-                    break; // deliver what we have; the error will recur
-                }
+                Err(e) if out.is_empty() => return Err(e),
+                // Backlog drained, or an error that will recur: deliver
+                // what we have.
+                Err(_) => break,
             }
+            if out.len() >= max.max(1) {
+                break;
+            }
+            next = ult_sys::sockio::accept4(fd);
         }
         reactor::note_accept_batch(out.len());
         Ok(out)
@@ -182,26 +194,20 @@ impl TcpStream {
     /// Honors the configured read timeout per call.
     pub fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
         let deadline = deadline_from(&self.read_timeout_ns);
-        retry(&self.reg.entry, Dir::Read, deadline, || {
-            (&self.inner).read(buf)
-        })
+        block_op(&self.reg, Dir::Read, deadline, || (&self.inner).read(buf))
     }
 
     /// Write from `buf`, suspending until the kernel accepts bytes.
     pub fn write(&self, buf: &[u8]) -> io::Result<usize> {
         let deadline = deadline_from(&self.write_timeout_ns);
-        retry(&self.reg.entry, Dir::Write, deadline, || {
-            (&self.inner).write(buf)
-        })
+        block_op(&self.reg, Dir::Write, deadline, || (&self.inner).write(buf))
     }
 
     /// Write the whole buffer (one shared per-call deadline).
     pub fn write_all(&self, mut buf: &[u8]) -> io::Result<()> {
         let deadline = deadline_from(&self.write_timeout_ns);
         while !buf.is_empty() {
-            let n = retry(&self.reg.entry, Dir::Write, deadline, || {
-                (&self.inner).write(buf)
-            })?;
+            let n = block_op(&self.reg, Dir::Write, deadline, || (&self.inner).write(buf))?;
             if n == 0 {
                 return Err(io::Error::new(io::ErrorKind::WriteZero, "write returned 0"));
             }
@@ -215,9 +221,7 @@ impl TcpStream {
     pub fn read_exact(&self, mut buf: &mut [u8]) -> io::Result<()> {
         let deadline = deadline_from(&self.read_timeout_ns);
         while !buf.is_empty() {
-            let n = retry(&self.reg.entry, Dir::Read, deadline, || {
-                (&self.inner).read(buf)
-            })?;
+            let n = block_op(&self.reg, Dir::Read, deadline, || (&self.inner).read(buf))?;
             if n == 0 {
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "early EOF"));
             }
@@ -230,7 +234,7 @@ impl TcpStream {
     /// ULT until data (or EOF) arrives. Honors the read timeout per call.
     pub fn read_vectored(&self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
         let deadline = deadline_from(&self.read_timeout_ns);
-        retry(&self.reg.entry, Dir::Read, deadline, || {
+        block_op(&self.reg, Dir::Read, deadline, || {
             ult_sys::sockio::readv(self.inner.as_raw_fd(), bufs)
         })
     }
@@ -240,7 +244,7 @@ impl TcpStream {
     /// accepts bytes; honors the write timeout per call.
     pub fn write_vectored(&self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         let deadline = deadline_from(&self.write_timeout_ns);
-        retry(&self.reg.entry, Dir::Write, deadline, || {
+        block_op(&self.reg, Dir::Write, deadline, || {
             ult_sys::sockio::writev(self.inner.as_raw_fd(), bufs)
         })
     }
@@ -331,9 +335,7 @@ impl UdpSocket {
     /// Receive one datagram, suspending the ULT until one arrives.
     pub fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
         let deadline = deadline_from(&self.read_timeout_ns);
-        retry(&self.reg.entry, Dir::Read, deadline, || {
-            self.inner.recv_from(buf)
-        })
+        block_op(&self.reg, Dir::Read, deadline, || self.inner.recv_from(buf))
     }
 
     /// Send one datagram to `addr`.
@@ -343,7 +345,7 @@ impl UdpSocket {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
         let deadline = deadline_from(&self.write_timeout_ns);
-        retry(&self.reg.entry, Dir::Write, deadline, || {
+        block_op(&self.reg, Dir::Write, deadline, || {
             self.inner.send_to(buf, addr)
         })
     }

@@ -96,7 +96,7 @@ use crate::wheel::TimerWheel;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use ult_sys::epoll::{Epoll, Event, EV_READ, EV_WRITE};
 use ult_sys::eventfd::EventFd;
@@ -160,6 +160,16 @@ pub(crate) enum Dir {
     Write,
 }
 
+impl Dir {
+    /// This direction's bit in `FdEntry::woken`.
+    fn bit(self) -> u8 {
+        match self {
+            Dir::Read => 1,
+            Dir::Write => 2,
+        }
+    }
+}
+
 #[derive(Default)]
 struct FdWait {
     read: Option<Arc<TimedWaiter>>,
@@ -171,6 +181,15 @@ struct FdWait {
     armed_interest: u32,
 }
 
+impl FdWait {
+    fn slot(&mut self, dir: Dir) -> &mut Option<Arc<TimedWaiter>> {
+        match dir {
+            Dir::Read => &mut self.read,
+            Dir::Write => &mut self.write,
+        }
+    }
+}
+
 /// One registered fd: epoll token, owning shard, per-direction waiter slots.
 pub(crate) struct FdEntry {
     fd: i32,
@@ -178,6 +197,9 @@ pub(crate) struct FdEntry {
     /// Index of the shard whose epoll instance holds this fd. Rewritten
     /// only by the rebind path, under `st`'s lock.
     shard: AtomicUsize, // ordering: acqrel owner index, stores serialized by `st`
+    /// `Dir::bit`s of directions whose waiter a delivery took since that
+    /// direction's last poll (see `note_wake`).
+    woken: AtomicU8, // ordering: relaxed counter hint, set by deliver, taken by note_wake
     st: Mutex<FdWait>,
 }
 
@@ -553,6 +575,9 @@ impl Shard {
             // moved the armed counts along with the fd.
             let taken = r_w.is_some() as usize + w_w.is_some() as usize;
             if taken != 0 {
+                let woken = r_w.as_ref().map_or(0, |_| Dir::Read.bit())
+                    | w_w.as_ref().map_or(0, |_| Dir::Write.bit());
+                entry.woken.fetch_or(woken, Ordering::Relaxed);
                 shard(entry.shard.load(Ordering::Acquire))
                     .armed
                     .fetch_sub(taken, Ordering::SeqCst);
@@ -637,6 +662,7 @@ pub(crate) fn register_fd(fd: i32) -> io::Result<Arc<FdEntry>> {
         fd,
         token,
         shard: AtomicUsize::new(sh.idx),
+        woken: AtomicU8::new(0),
         st: Mutex::new(FdWait::default()),
     });
     sh.registry.lock().insert(token, entry.clone());
@@ -705,140 +731,31 @@ pub(crate) fn note_accept_batch(n: usize) {
     sh.accepted.fetch_add(n as u64, Ordering::Relaxed);
 }
 
-/// Block the current ULT until `entry`'s fd is ready in direction `dir`, or
-/// until `deadline_ns` (absolute monotonic) passes.
+/// Store a waker-bound waiter in `entry`'s `dir` slot and arm interest,
+/// then *return*: the calling future reports `Poll::Pending` and its
+/// driver parks. Readiness (the service pass's `notify`) or, with a
+/// `deadline_ns` (absolute monotonic), the shard wheel claims the waiter,
+/// and `Waker::wake` reschedules the task, which re-runs its nonblocking
+/// syscall on the next poll. This is the one function that arms an fd;
+/// both socket faces reach it through `anet.rs::poll_op`.
 ///
-/// The calling KLT is never held: the ULT suspends through
-/// `block_current` and the worker goes on running other ULTs; readiness
-/// re-pushes the ULT to its home worker's pool via `make_ready`. The fd is
-/// rebound to the calling worker's shard first, so readiness fires on the
-/// epoll instance of the worker that will consume it.
+/// The fd is rebound to the calling worker's shard first, so readiness
+/// fires on the epoll instance of the worker that will consume it. A
+/// preemption may migrate the task right after, leaving the fd affined
+/// one worker behind — benign (the wake crosses shards once and the next
+/// wait rebinds).
 ///
-/// Outside the runtime (plain OS thread) this degrades to a short sleep —
-/// the caller's nonblocking-retry loop becomes a poll loop.
-pub(crate) fn wait_readiness(
-    entry: &Arc<FdEntry>,
-    dir: Dir,
-    deadline_ns: Option<u64>,
-) -> io::Result<()> {
-    if !ult_core::in_ult() {
-        if let Some(d) = deadline_ns {
-            if ult_sys::now_ns() >= d {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "I/O deadline elapsed",
-                ));
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_micros(500));
-        return Ok(());
-    }
-    // The shard we arm on. A preemption may migrate this ULT between here
-    // and the block, leaving the fd affined one worker behind — benign (the
-    // wake crosses shards once and the next wait rebinds).
-    let sh = current_shard();
-    let waiter = TimedWaiter::new();
-    let mut armed = true;
-    ult_core::block_current(|me| {
-        waiter.bind(me);
-        {
-            let mut st = entry.st.lock();
-            // Affinity: follow the ULT. An error here surfaces through the
-            // arm below (same fd, same epoll instance).
-            let _ = rebind_locked(entry, &mut st, sh);
-            let prior = match dir {
-                Dir::Read => st.read.replace(waiter.clone()),
-                Dir::Write => st.write.replace(waiter.clone()),
-            };
-            let mut want = 0;
-            if st.read.is_some() {
-                want |= EV_READ;
-            }
-            if st.write.is_some() {
-                want |= EV_WRITE;
-            }
-            // Sticky-interest fast path: the previous wait on this fd
-            // wanted the same set and delivery kept it armed, so the MOD
-            // is already done. Level-triggered persistence re-reports any
-            // readiness that predates this wait either way.
-            if want != st.armed_interest {
-                if sh.ep.modify_level(entry.fd, want, entry.token).is_err() {
-                    // Arm failed (fd went bad): abort the block; the
-                    // caller's retry surfaces the real error from the
-                    // actual syscall.
-                    match dir {
-                        Dir::Read => st.read = None,
-                        Dir::Write => st.write = None,
-                    }
-                    if prior.is_some() {
-                        sh.armed.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    st.armed_interest = 0;
-                    armed = false;
-                    return false;
-                }
-                st.armed_interest = want;
-            }
-            if prior.is_none() {
-                // A displaced `prior` is this same ULT's stale timed-out
-                // waiter, already counted: occupancy is unchanged then.
-                note_armed(sh, 1);
-            }
-        }
-        if let Some(d) = deadline_ns {
-            sh.add_deadline(d, waiter.clone());
-        }
-        true
-    });
-    if !armed {
-        return Ok(());
-    }
-    if waiter.timed_out() {
-        // Clear our stale slot so a later readiness edge is not spent on a
-        // dead waiter (notify on it would just return false, but it would
-        // also consume the one-shot edge for a future waiter on this fd).
-        let mut st = entry.st.lock();
-        let slot = match dir {
-            Dir::Read => &mut st.read,
-            Dir::Write => &mut st.write,
-        };
-        if slot.as_ref().is_some_and(|w| Arc::ptr_eq(w, &waiter)) {
-            *slot = None;
-            // Decrement the *current* owner: a rebind since we armed moved
-            // our count along with the fd (`st` is held, owner is stable).
-            shard(entry.shard.load(Ordering::Acquire))
-                .armed
-                .fetch_sub(1, Ordering::SeqCst);
-        }
-        return Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "I/O deadline elapsed",
-        ));
-    }
-    // Delivered on `sh` but resumed on a different worker: the wake crossed
-    // shards (migration between arm and resume, or stolen afterwards).
-    if ult_core::current_worker_rank() != Some(sh.idx) {
-        sh.cross_shard_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(())
-}
-
-/// Async counterpart of [`wait_readiness`]: store a waker-bound waiter in
-/// the fd's direction slot and arm interest, then *return* — the calling
-/// future reports `Poll::Pending` instead of parking a ULT. Readiness (the
-/// service pass's `notify`) claims the waiter and `Waker::wake` reschedules
-/// the task, which re-runs its nonblocking syscall on the next poll.
-///
-/// The no-lost-wakeup argument is the same slot-store-before-arm one as the
-/// blocking path, plus level-triggered persistence: readiness that predates
-/// the arm is re-reported, so registering *after* a `WouldBlock` and then
-/// returning `Pending` cannot strand the task. A re-poll that finds
-/// `WouldBlock` again simply replaces the slot (fresh waker, same
-/// occupancy). An arm failure surfaces here; the caller propagates it.
+/// No lost wakeup: the slot is stored before the arm, and level-triggered
+/// persistence re-reports readiness that predates the arm, so registering
+/// *after* a `WouldBlock` and then returning `Pending` cannot strand the
+/// task. A re-poll that finds `WouldBlock` again simply replaces the slot
+/// (fresh waiter, same occupancy). An arm failure surfaces here; the
+/// caller propagates it.
 pub(crate) fn register_readiness(
     entry: &Arc<FdEntry>,
     dir: Dir,
     waker: &std::task::Waker,
+    deadline_ns: Option<u64>,
 ) -> io::Result<()> {
     let sh = current_shard();
     let waiter = TimedWaiter::new_with_waker(waker.clone());
@@ -846,25 +763,15 @@ pub(crate) fn register_readiness(
     // Affinity: follow the polling task. An error here surfaces through
     // the arm below (same fd, same epoll instance).
     let _ = rebind_locked(entry, &mut st, sh);
-    let prior = match dir {
-        Dir::Read => st.read.replace(waiter),
-        Dir::Write => st.write.replace(waiter),
-    };
-    let mut want = 0;
-    if st.read.is_some() {
-        want |= EV_READ;
-    }
-    if st.write.is_some() {
-        want |= EV_WRITE;
-    }
+    let prior = st.slot(dir).replace(waiter.clone());
+    let want = st.read.as_ref().map_or(0, |_| EV_READ) | st.write.as_ref().map_or(0, |_| EV_WRITE);
+    // Sticky-interest fast path: the previous wait on this fd wanted the
+    // same set and delivery kept it armed, so the MOD is already done.
     if want != st.armed_interest {
         if let Err(e) = sh.ep.modify_level(entry.fd, want, entry.token) {
             // Arm failed (fd went bad): clear our slot and report; the
             // caller's future surfaces the error.
-            match dir {
-                Dir::Read => st.read = None,
-                Dir::Write => st.write = None,
-            }
+            *st.slot(dir) = None;
             if prior.is_some() {
                 sh.armed.fetch_sub(1, Ordering::SeqCst);
             }
@@ -874,9 +781,47 @@ pub(crate) fn register_readiness(
         st.armed_interest = want;
     }
     if prior.is_none() {
-        // A displaced `prior` is this task's previous still-armed
-        // registration (stale waker): occupancy is unchanged then.
+        // A displaced `prior` is this task's previous registration (stale
+        // waker, or a timed-out waiter): occupancy is unchanged then.
         note_armed(sh, 1);
     }
+    drop(st);
+    if let Some(d) = deadline_ns {
+        sh.add_deadline(d, waiter);
+    }
     Ok(())
+}
+
+/// Drop a deadline-claimed waiter from `entry`'s `dir` slot, so a later
+/// readiness edge is not spent on it and the owner's `armed` count stays
+/// honest. Called by a poll that found its deadline passed.
+pub(crate) fn clear_expired(entry: &FdEntry, dir: Dir) {
+    let mut st = entry.st.lock();
+    if st.slot(dir).as_ref().is_some_and(|w| w.timed_out()) {
+        *st.slot(dir) = None;
+        // Decrement the *current* owner: a rebind since the arm moved the
+        // count along with the fd (`st` is held, owner is stable).
+        shard(entry.shard.load(Ordering::Acquire))
+            .armed
+            .fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Called by every poll of an op on `entry`: if readiness was delivered
+/// to this direction since the last poll and the task now runs on a
+/// worker other than the delivering shard's, the wake crossed shards
+/// (migration between arm and resume, or stolen afterwards).
+pub(crate) fn note_wake(entry: &FdEntry, dir: Dir) {
+    let bit = dir.bit();
+    if entry.woken.load(Ordering::Relaxed) & bit == 0
+        || entry.woken.fetch_and(!bit, Ordering::Relaxed) & bit == 0
+    {
+        return;
+    }
+    let owner = entry.shard.load(Ordering::Acquire);
+    if ult_core::current_worker_rank() != Some(owner) {
+        shard(owner)
+            .cross_shard_wakes
+            .fetch_add(1, Ordering::Relaxed);
+    }
 }

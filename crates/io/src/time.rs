@@ -1,15 +1,16 @@
-//! Timed blocking: `sleep` and the generic deadline-block primitive that
-//! `ult-sync`'s `wait_timeout` variants are built on — plus the [`Sleep`]
-//! future, the same timer wheel surfaced to async tasks.
+//! Timed waits: the [`Sleep`] future on the sharded timer wheel, and the
+//! blocking `sleep` and deadline-block primitive that `ult-sync`'s
+//! `wait_timeout` variants are built on — both driven through
+//! [`block_on`], so a timed wait parks exactly like any other task.
 
 use crate::reactor::current_shard;
+use crate::task::block_on;
 use crate::waiter::TimedWaiter;
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
-use ult_core::Ult;
 
 /// Suspend the current ULT for at least `dur` without holding its KLT.
 ///
@@ -24,8 +25,7 @@ pub fn sleep(dur: Duration) {
         std::thread::sleep(dur);
         return;
     }
-    let deadline = ult_sys::now_ns().saturating_add(dur.as_nanos().min(u64::MAX as u128) as u64);
-    block_until(deadline, |_| true);
+    block_on(sleep_future(dur));
 }
 
 /// Block the current ULT until `register` hands the waiter to some wake
@@ -33,13 +33,15 @@ pub fn sleep(dur: Duration) {
 /// `deadline_ns` (absolute `CLOCK_MONOTONIC` ns) passes — whichever claims
 /// the waiter first. Returns `true` if the wait **timed out**.
 ///
-/// `register` runs inside the suspension critical section (the thread is
-/// already committed to blocking, under `block_current`): it should publish
-/// the waiter (e.g. push it onto a wait list) and return `true`, or return
-/// `false` to abort blocking (condition already satisfied). The waiter is
-/// additionally scheduled on the timer wheel; whichever of
-/// notify/expiry wins the claim CAS wakes the thread, the loser's
-/// reference goes stale and is pruned lazily.
+/// The wait is one future on the ULT driver ([`block_on`]): its first poll
+/// creates a waiter bound to the driver's waker and runs `register`, which
+/// should publish the waiter (e.g. push it onto a wait list) and return
+/// `true`, or return `false` to abort blocking (condition already
+/// satisfied). The waiter is then scheduled on the timer wheel; whichever
+/// of notify/expiry wins the claim CAS wakes the driver, the loser's
+/// reference goes stale and is pruned lazily. A notify that lands before
+/// the driver has parked is absorbed by the driver's claim machine (the
+/// park aborts and the future completes on its re-poll).
 ///
 /// # Panics
 /// Panics outside a ULT (as `block_current` does) — `ult-sync` falls back
@@ -48,21 +50,28 @@ pub fn block_until<F>(deadline_ns: u64, register: F) -> bool
 where
     F: FnOnce(&Arc<TimedWaiter>) -> bool,
 {
-    // Deadlines land on the calling worker's own shard wheel; the shard's
-    // owner services it while parked or via its opportunistic polls.
-    let sh = current_shard();
-    let waiter = TimedWaiter::new();
-    let mut armed = true;
-    ult_core::block_current(|me: &Arc<Ult>| {
-        waiter.bind(me);
-        if !register(&waiter) {
-            armed = false;
-            return false;
+    assert!(ult_core::in_ult(), "block_until outside a ULT");
+    let mut register = Some(register);
+    let mut waiter: Option<Arc<TimedWaiter>> = None;
+    block_on(poll_fn(|cx| {
+        if let Some(w) = &waiter {
+            return if w.is_waiting() {
+                Poll::Pending
+            } else {
+                Poll::Ready(w.timed_out())
+            };
         }
-        sh.add_deadline(deadline_ns, waiter.clone());
-        true
-    });
-    armed && waiter.timed_out()
+        let w = TimedWaiter::new_with_waker(cx.waker().clone());
+        if !register.take().is_some_and(|r| r(&w)) {
+            return Poll::Ready(false);
+        }
+        // Deadlines land on the calling worker's own shard wheel; the
+        // shard's owner services it while parked or via its opportunistic
+        // polls.
+        current_shard().add_deadline(deadline_ns, w.clone());
+        waiter = Some(w);
+        Poll::Pending
+    }))
 }
 
 /// [`block_until`] with a relative timeout.

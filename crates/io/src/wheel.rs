@@ -12,6 +12,7 @@
 //! Entries are `(deadline, waiter)` pairs; a waiter already claimed by its
 //! event source (see [`crate::TimedWaiter`]) is dropped on sight instead of
 //! fired — cancellation is lazy, insertion never needs a removal handle.
+//! Firing claims the waiter and wakes its task's waker.
 
 use crate::waiter::TimedWaiter;
 use parking_lot::Mutex;
@@ -90,9 +91,9 @@ impl TimerWheel {
             self.earliest.store(new_earliest, Ordering::Release);
             scratch
         };
-        // Fire outside the lock: expire → make_ready → pool push + unpark,
-        // none of which may run under the wheel mutex while an inserter on
-        // another worker wants it.
+        // Fire outside the lock: expire → Waker::wake → make_ready → pool
+        // push + unpark, none of which may run under the wheel mutex while
+        // an inserter on another worker wants it.
         let mut fired = 0;
         for w in due.drain(..) {
             if w.expire() {
@@ -121,6 +122,11 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::task::Waker;
+
+    fn waiter() -> Arc<TimedWaiter> {
+        TimedWaiter::new_with_waker(Waker::noop().clone())
+    }
 
     #[test]
     fn fires_in_deadline_order_across_slots() {
@@ -129,8 +135,8 @@ mod tests {
         // only the earlier one may fire at its time.
         let near = 10 * TICK_NS;
         let far = near + (SLOTS as u64) * TICK_NS;
-        let w_near = TimedWaiter::new();
-        let w_far = TimedWaiter::new();
+        let w_near = waiter();
+        let w_far = waiter();
         assert!(wheel.insert(near, w_near.clone()));
         assert!(!wheel.insert(far, w_far.clone()));
         assert_eq!(wheel.advance(near), 1);
@@ -143,7 +149,7 @@ mod tests {
     #[test]
     fn claimed_entries_are_pruned_not_fired() {
         let wheel = TimerWheel::new();
-        let w = TimedWaiter::new();
+        let w = waiter();
         wheel.insert(5 * TICK_NS, w.clone());
         assert!(w.notify(), "event source claims first");
         assert_eq!(wheel.advance(u64::MAX - 1), 0);
@@ -154,20 +160,20 @@ mod tests {
     fn timeout_rounds_up_and_signals_new_earliest() {
         let wheel = TimerWheel::new();
         assert_eq!(wheel.next_timeout_ms(0), -1);
-        wheel.insert(2_500_000, TimedWaiter::new());
+        wheel.insert(2_500_000, waiter());
         assert_eq!(wheel.next_timeout_ms(1_000_000), 2); // 1.5ms → 2ms
         assert_eq!(wheel.next_timeout_ms(3_000_000), 0); // already due
                                                          // A later deadline does not lower `earliest`.
-        assert!(!wheel.insert(9_000_000, TimedWaiter::new()));
+        assert!(!wheel.insert(9_000_000, waiter()));
         // An earlier one does.
-        assert!(wheel.insert(1_000_000, TimedWaiter::new()));
+        assert!(wheel.insert(1_000_000, waiter()));
     }
 
     #[test]
     fn earliest_recomputed_after_advance() {
         let wheel = TimerWheel::new();
-        wheel.insert(1_000, TimedWaiter::new());
-        wheel.insert(50 * TICK_NS, TimedWaiter::new());
+        wheel.insert(1_000, waiter());
+        wheel.insert(50 * TICK_NS, waiter());
         wheel.advance(2_000);
         // Remaining deadline governs the next timeout.
         assert_eq!(

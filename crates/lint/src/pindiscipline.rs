@@ -53,8 +53,10 @@ use crate::{scan_file, Blocking, CallSite, Category, Diagnostic, FileScan};
 const MMAP_FAMILY: &[&str] = &["mmap", "munmap", "mprotect", "madvise", "mremap", "msync"];
 
 /// Known ULT suspension points by `(file basename, fn name)`: the API
-/// park/yield entry points and the io-side waits. Seeding by name keeps
-/// the lint honest even before annotations exist on those bodies.
+/// park/yield entry points and the io-side waits — the timed waits and the
+/// future driver (`crates/io/src/task.rs`) that every socket op parks on.
+/// Seeding by name keeps the lint honest even before annotations exist on
+/// those bodies.
 const SUSPEND_SEEDS: &[(&str, &str)] = &[
     ("api.rs", "block_current"),
     ("api.rs", "block_on_join"),
@@ -63,7 +65,7 @@ const SUSPEND_SEEDS: &[(&str, &str)] = &[
     ("time.rs", "sleep"),
     ("time.rs", "block_until"),
     ("time.rs", "block_for"),
-    ("reactor.rs", "wait_readiness"),
+    ("task.rs", "drive"),
 ];
 
 /// Pin-opening and pin-closing call names.

@@ -452,8 +452,8 @@ pub fn shard_park_vs_wake(weaken: bool) -> (bool, usize, usize) {
 
 /// Cross-shard wake: worker A's service pass delivers readiness for a ULT
 /// homed on worker B (the fd was affined to A's shard, the thread since
-/// migrated — `Reactor::deliver` → `notify` → `make_ready` → `on_ready`
-/// targets B). The kick must aim at **B's** flag and **B's** doorbell;
+/// migrated — `Reactor::deliver` → `notify` → `Waker::wake` →
+/// `make_ready` → `on_ready` targets B). The kick must aim at **B's** flag and **B's** doorbell;
 /// B's own park pairing is what keeps it from stranding, and A's state
 /// never enters the protocol. Returns `(b_parked, b_doorbell, b_work)`;
 /// the stranded outcome `(true, 0, 1)` must be unreachable faithful and
@@ -630,8 +630,8 @@ pub fn interest_registration_vs_readiness(rereport: bool) -> usize {
         s2.ready.store(true, Ordering::SeqCst);
         s2.deliver();
     });
-    // Registrar half (`wait_readiness`): slot before arm, then the MOD
-    // re-report.
+    // Registrar half (`reactor::register_readiness`): slot before arm,
+    // then the MOD re-report.
     s.slot.store(1, Ordering::Release);
     s.armed.store(true, Ordering::Release);
     if rereport && s.ready.load(Ordering::SeqCst) {
@@ -729,7 +729,7 @@ pub fn rebind_vs_stale_delivery() -> usize {
         s2.deliver_old();
         s2.deliver_new();
     });
-    // Rebinder half (`wait_readiness` + `rebind_locked`, under `st`):
+    // Rebinder half (`register_readiness` + `rebind_locked`, under `st`):
     // old-registry remove → slot publish → new-shard arm → MOD re-report.
     s.in_old_registry.store(false, Ordering::SeqCst);
     s.slot.store(1, Ordering::Release);
@@ -1038,7 +1038,8 @@ pub fn mcs_release_vs_enqueue() {
 }
 
 // ---------------------------------------------------------------------------
-// Async task waker: poll retire/park vs wake (ult-future's task.rs)
+// Task waker: poll retire/park vs wake (ult-io's task.rs, the driver that
+// parks every ULT-blocking socket, timed wait and task)
 // ---------------------------------------------------------------------------
 
 /// Sentinel for "this side never performed the read" in
@@ -1050,10 +1051,10 @@ const WK_POLLING: usize = 1;
 const WK_NOTIFIED: usize = 2;
 const WK_PARKED: usize = 3;
 
-/// One round of the `TaskCore` claim machine (`ult-future` `task::drive`
-/// vs `TaskCore::wake`): the executor retires a Pending poll
-/// (POLLING→IDLE), publishes the host ULT into the waker slot (Release),
-/// and commits to PARKED (AcqRel CAS); the waker walks the state to
+/// One round of the `TaskCore` claim machine (`ult-io` `task::drive`, the
+/// driver under `block_on`, vs `TaskCore::wake`): the executor retires a
+/// Pending poll (POLLING→IDLE), publishes the host ULT into the waker slot
+/// (Release), and commits to PARKED (AcqRel CAS); the waker walks the state to
 /// NOTIFIED and — having claimed the PARKED→NOTIFIED edge — takes the
 /// slot (the read half of the real code's `slot.swap`, modeled as an
 /// Acquire load since model RMWs always read the latest store).

@@ -360,7 +360,7 @@ fn mcs_release_vs_enqueue_agrees_on_ownership() {
     println!("mcs release-vs-enqueue: {} executions", r.executions);
 }
 
-/// The async-task waker pairing (`ult-future`'s `task.rs`): the slot
+/// The task waker pairing (`ult-io`'s `task.rs`): the slot
 /// publication is ordered before the IDLE→PARKED commit, so the waker
 /// that claims the PARKED→NOTIFIED edge always finds the published host
 /// ULT, and a poll-abort reclaim always finds it too — no interleaving

@@ -9,7 +9,9 @@
 //! [`Mutex`], [`Condvar`], [`Semaphore`], [`RwLock`], [`Barrier`] and
 //! [`WaitGroup`] all park and wake through one crate-private wait queue
 //! (`waitqueue.rs`, contract in its module docs); [`McsMutex`] and
-//! [`oneshot()`] keep lock-free claim machines of their own.
+//! [`oneshot()`] keep lock-free claim machines of their own. A oneshot's
+//! waiter is a task waker, and its blocking `recv` is `ult_io::block_on`
+//! of the receiver.
 //!
 //! Two barrier flavors matter for the paper's evaluation:
 //!

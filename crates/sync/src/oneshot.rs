@@ -1,9 +1,10 @@
 //! One-shot SPSC channel with both ULT-blocking and async receive.
 //!
 //! The rendezvous cell `ult-future` builds `JoinHandle` on: the producer
-//! sends exactly one value, the consumer either blocks for it (`recv`,
-//! parking the ULT — or the plain OS thread outside the runtime) or awaits
-//! it (`Receiver` implements [`Future`]).
+//! sends exactly one value, the consumer awaits it (`Receiver` implements
+//! [`Future`]) or blocks for it (`recv`, which is `ult_io::block_on` of
+//! the same future: it parks the ULT — or the plain OS thread outside the
+//! runtime).
 //!
 //! The protocol is a four-state claim machine in the same family as
 //! `ult_io::TimedWaiter`:
@@ -28,7 +29,6 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use ult_core::Ult;
 
 const EMPTY: u8 = 0;
 const WAITING: u8 = 1;
@@ -47,35 +47,15 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Whoever registered to be woken when the value (or the close) arrives.
-enum Waiter {
-    /// A parked ULT (registered through `block_current`).
-    Ult(Arc<Ult>),
-    /// An async task's waker.
-    Task(Waker),
-    /// A plain OS thread (outside the runtime).
-    Thread(std::thread::Thread),
-}
-
-impl Waiter {
-    fn wake(self) {
-        match self {
-            Waiter::Ult(t) => ult_core::make_ready(&t),
-            Waiter::Task(w) => w.wake(),
-            Waiter::Thread(t) => t.unpark(),
-        }
-    }
-}
-
 struct Inner<T> {
     /// The claim machine above; RMW transitions carry the publications.
     state: AtomicU8, // ordering: acqrel claim machine (see module docs)
     /// Written by the sender before its `SENT` swap, read after observing
     /// `SENT`.
     value: UnsafeCell<Option<T>>,
-    /// Owned by the receiver while `EMPTY`, by the sender after a swap
-    /// that returned `WAITING`.
-    waiter: UnsafeCell<Option<Waiter>>,
+    /// The receiving task's waker. Owned by the receiver while `EMPTY`, by
+    /// the sender after a swap that returned `WAITING`.
+    waiter: UnsafeCell<Option<Waker>>,
 }
 
 // SAFETY: the cells are accessed under the ownership discipline described
@@ -116,7 +96,7 @@ impl<T: Send> Sender<T> {
     /// Deliver the value and wake the receiver if it is already parked.
     /// Never blocks (a send is one store + one RMW) — safe from ULTs, pool
     /// KLTs and external threads alike.
-    // blocking: never one UnsafeCell store plus an atomic swap; the wake reduces to make_ready/Waker::wake/unpark
+    // blocking: never one UnsafeCell store plus an atomic swap; the wake is one Waker::wake
     pub fn send(mut self, v: T) {
         let inner = self.inner.take().expect("oneshot sender reused");
         // SAFETY: state is EMPTY or WAITING, so the receiver is not reading
@@ -154,12 +134,12 @@ impl<T: Send> Receiver<T> {
         unsafe { (*self.inner.value.get()).take() }.expect("oneshot value taken twice")
     }
 
-    /// Register `mk()` as the waiter and publish it. Returns `false` when
-    /// the channel reached a final state first (the waiter is rolled back).
-    fn register(&self, mk: impl FnOnce() -> Waiter) -> bool {
+    /// Register `waker` and publish it. Returns `false` when the channel
+    /// reached a final state first (the waker is rolled back).
+    fn register(&self, waker: &Waker) -> bool {
         // SAFETY: state is EMPTY (we only call this then), so the slot is
         // receiver-owned until the CAS below publishes it.
-        unsafe { *self.inner.waiter.get() = Some(mk()) };
+        unsafe { *self.inner.waiter.get() = Some(waker.clone()) };
         if self
             .inner
             .state
@@ -174,24 +154,11 @@ impl<T: Send> Receiver<T> {
         false
     }
 
-    /// Block until the value arrives (or the sender is dropped). Inside
-    /// the runtime this parks the ULT; outside it parks the OS thread.
+    /// Block until the value arrives (or the sender is dropped): the
+    /// receiver is driven as a future by `ult_io::block_on`, which parks
+    /// the ULT inside the runtime and the OS thread outside it.
     pub fn recv(self) -> Result<T, RecvError> {
-        loop {
-            match self.inner.state.load(Ordering::Acquire) {
-                SENT => return Ok(self.take_value()),
-                CLOSED => return Err(RecvError),
-                _ => {}
-            }
-            if ult_core::in_ult() {
-                ult_core::block_current(|me| self.register(|| Waiter::Ult(me.clone())));
-            } else if self.register(|| Waiter::Thread(std::thread::current())) {
-                while self.inner.state.load(Ordering::Acquire) == WAITING {
-                    // blocking-ok: plain-KLT fallback path, only taken outside the runtime
-                    std::thread::park();
-                }
-            }
-        }
+        ult_io::block_on(self)
     }
 }
 
@@ -221,7 +188,7 @@ impl<T: Send> Future for Receiver<T> {
                 }
                 _ => {}
             }
-            if this.register(|| Waiter::Task(cx.waker().clone())) {
+            if this.register(cx.waker()) {
                 return Poll::Pending;
             }
         }

@@ -15,10 +15,12 @@
 //!   sees the new state) or after its publication (and pops it): a wake-up
 //!   is never lost (`ult-model`: `waitqueue_park_vs_wake`).
 //!
-//! The lock holder is pinned to its worker. A waiter publishes from inside
-//! `block_current`, where no tick can preempt it; a waker that took the same
-//! lock preemptibly and lost the CPU while holding it would leave that
-//! waiter's worker spinning with nothing able to run the holder again. The
+//! The lock holder is pinned to its worker. An untimed waiter publishes from
+//! inside `block_current`, where no tick can preempt it, and a timed one
+//! from the first poll of `ult_io::block_until`'s future, under the same
+//! pin; a waker that took the same lock preemptibly and lost the CPU while
+//! holding it would leave that waiter's worker spinning with nothing able
+//! to run the holder again. The
 //! queue's buffer grows and is freed only inside pinned sections, so the
 //! untimed paths allocate nothing a signal-yield ULT could be preempted in.
 
@@ -113,7 +115,9 @@ impl WaitQueue {
     /// first call is under the lock.
     ///
     /// A ULT parks: untimed as its own `Arc<Ult>`, timed through the
-    /// `ult-io` timer wheel. Outside the runtime there is no ULT to park and
+    /// `ult-io` future driver and timer wheel (`block_until`; a notify that
+    /// lands before the driver parks is absorbed by the driver's claim
+    /// machine). Outside the runtime there is no ULT to park and
     /// the KLT must not sleep on a ULT primitive, so the caller polls
     /// `ready` with OS yields.
     pub(crate) fn wait(&self, deadline: Option<u64>, mut ready: impl FnMut() -> bool) -> bool {

@@ -26,7 +26,7 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
-echo "== stress: sync primitives under preemption, the busy-worker echo and the ready path, 20x, one CPU and all"
+echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path and ult-io, 20x, one CPU and all"
 # All are races by nature (a tick inside a few-instruction window; a kick
 # racing a dispatch; a push racing the owner's park), and the one-CPU
 # interleavings differ from the rest.
@@ -37,6 +37,9 @@ for pin in "taskset -c 0" ""; do
             sync_primitives_survive_preemptive_ults
         $pin cargo test -q -p integration-tests --test io busy_worker_echo_beats_the_tick
         $pin cargo test -q -p ult-sync --test sync_ult --test timeout
+        # The future driver's wake-vs-park race and the readiness-vs-deadline
+        # claim now carry every blocking socket op and timed wait.
+        $pin cargo test -q -p ult-io
         # A worker neither wakes itself nor re-arms for an occupant it
         # cannot preempt, and a preemptive spawner still gets its tick.
         $pin cargo test -q -p ult-core --test ready_path
