@@ -1,28 +1,26 @@
 //! Figure 4 — Average time for an OS timer interruption (1 ms interval)
-//! vs. number of workers, for all four timer strategies.
+//! vs. number of workers.
 //!
 //! Two sections are printed:
 //!
 //! 1. **measured** — real signal-handler latencies recorded by this
-//!    machine's runtime (limited to worker counts the machine can host; on
-//!    the 1-core reproduction box contention between cores cannot occur,
-//!    so these numbers anchor the solo cost only);
-//! 2. **simulated** — the calibrated discrete-event model sweeping 1–112
-//!    workers, which reproduces the paper's multi-core *shape*: naive
-//!    per-worker timers grow to ~100 µs, aligned stays flat, one-to-all
-//!    grows linearly but below naive, chain stays flat slightly above
-//!    aligned.
+//!    machine's runtime under the timer it ships, phase-aligned per-worker
+//!    timers (limited to worker counts the machine can host);
+//! 2. **simulated** — the calibrated discrete-event model of all four of
+//!    the paper's strategies sweeping 1–112 workers, which reproduces the
+//!    paper's multi-core *shape*: naive per-worker timers grow to ~100 µs,
+//!    aligned stays flat, one-to-all grows linearly but below naive, chain
+//!    stays flat slightly above aligned.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
+use ult_core::{Config, Priority, Runtime, ThreadKind};
 use ult_simcore::{simulate_interruption, KernelParams, SimStrategy};
 
-fn measure(strategy: TimerStrategy, workers: usize, millis: u64) -> (f64, f64, usize, u64) {
+fn measure(workers: usize, millis: u64) -> (f64, f64, usize, u64) {
     let rt = Runtime::start(Config {
         num_workers: workers,
         preempt_interval_ns: 1_000_000,
-        timer_strategy: strategy,
         stat_samples: 65_536,
         ..Config::default()
     });
@@ -74,20 +72,13 @@ fn main() {
     println!("\n## measured on this machine (real signals, real handlers)\n");
     println!("strategy\tworkers\tmean_us\tstddev_us\tsamples\toverruns");
     let worker_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    for &(strategy, name) in &[
-        (TimerStrategy::PerWorkerCreationTime, "per-worker(creation)"),
-        (TimerStrategy::PerWorkerAligned, "per-worker(aligned)"),
-        (TimerStrategy::PerProcessOneToAll, "per-process(one-to-all)"),
-        (TimerStrategy::PerProcessChain, "per-process(chain)"),
-    ] {
-        for &w in worker_counts {
-            let (mean, sd, n, overruns) = measure(strategy, w, if quick { 150 } else { 400 });
-            println!(
-                "{name}\t{w}\t{:.3}\t{:.3}\t{n}\t{overruns}",
-                mean / 1000.0,
-                sd / 1000.0
-            );
-        }
+    for &w in worker_counts {
+        let (mean, sd, n, overruns) = measure(w, if quick { 150 } else { 400 });
+        println!(
+            "per-worker(aligned)\t{w}\t{:.3}\t{:.3}\t{n}\t{overruns}",
+            mean / 1000.0,
+            sd / 1000.0
+        );
     }
 
     println!("\n## simulated multi-core shape (calibrated model; paper Fig. 4)\n");

@@ -5,15 +5,24 @@
 //!
 //! **measured**: the paper's microbenchmark at this machine's scale — each
 //! worker runs 10 threads that burn a fixed amount of CPU; relative
-//! overhead = wall(preemptive)/wall(nonpreemptive) - 1.
+//! overhead = wall(preemptive)/wall(nonpreemptive) - 1 — for the mechanisms
+//! the runtime ships: KLT-switching (futex, local pool), signal-yield and
+//! the timer alone.
+//!
+//! **park/resume round trip**: what the naive series adds over the futex
+//! (paper §3.3.1), measured without a runtime: two plain threads resume
+//! each other through a futex, or through the signal-paced
+//! (`sigsuspend`-style) wait.
 //!
 //! **simulated**: the calibrated cost model sweeping the full interval
-//! range (paper's Skylake panel).
+//! range (paper's Skylake panel), all five series.
 
-use repro_bench::measure::time_secs;
+use repro_bench::measure::{median, time_secs};
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
-use ult_core::{Config, KltParkMode, KltPoolPolicy, Priority, Runtime, ThreadKind, TimerStrategy};
+use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
 use ult_simcore::overhead::{figure6_sweep, OverheadParams};
+use ult_sys::futex::Futex;
 
 /// Burn a deterministic amount of CPU (~`units` × ~1 µs each).
 fn burn(units: u64) {
@@ -24,18 +33,9 @@ fn burn(units: u64) {
     std::hint::black_box(acc);
 }
 
-struct Variant {
-    name: &'static str,
-    kind: ThreadKind,
-    park: KltParkMode,
-    pool: KltPoolPolicy,
-}
-
 fn run_workload(
     interval_ns: u64,
     kind: ThreadKind,
-    park: KltParkMode,
-    pool: KltPoolPolicy,
     workers: usize,
     threads_per_worker: usize,
     units: u64,
@@ -48,8 +48,6 @@ fn run_workload(
         } else {
             TimerStrategy::PerWorkerAligned
         },
-        klt_park_mode: park,
-        klt_pool_policy: pool,
         spare_klts: 4,
         ..Config::default()
     });
@@ -69,6 +67,58 @@ fn run_workload(
     secs
 }
 
+/// Median nanoseconds of one park/resume round trip between two plain
+/// threads: each resumes the other and parks until resumed back, through
+/// the futex or through the signal-paced wait KLT-switching used before
+/// the paper's §3.3.1 optimization.
+fn park_resume_rt_ns(signal_paced: bool, rounds: usize) -> u64 {
+    let sig = ult_sys::signal::wake_signum();
+    let sides: Arc<[(Futex, AtomicI32); 2]> = Arc::new(Default::default());
+    let run = move |me: usize, sides: Arc<[(Futex, AtomicI32); 2]>| {
+        // Queue the wake signal for `sigtimedwait` instead of delivering it.
+        ult_sys::signal::block_signal(sig);
+        sides[me].1.store(ult_sys::gettid(), Ordering::Release);
+        let peer = loop {
+            match sides[1 - me].1.load(Ordering::Acquire) {
+                0 => std::hint::spin_loop(),
+                tid => break tid,
+            }
+        };
+        let park = || {
+            if signal_paced {
+                sides[me].0.wait_sigsuspend_style(sig)
+            } else {
+                sides[me].0.park()
+            }
+        };
+        let resume = || {
+            if signal_paced {
+                sides[1 - me].0.unpark_with_signal(peer, sig)
+            } else {
+                sides[1 - me].0.unpark()
+            }
+        };
+        let mut samples = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            if me == 0 {
+                let t0 = ult_sys::now_ns();
+                resume();
+                park();
+                samples.push(ult_sys::now_ns() - t0);
+            } else {
+                park();
+                resume();
+            }
+        }
+        samples
+    };
+    let (r0, s0) = (run, sides.clone());
+    let initiator = std::thread::spawn(move || r0(0, s0));
+    let responder = std::thread::spawn(move || run(1, sides));
+    responder.join().unwrap();
+    median(&initiator.join().unwrap())
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let workers = 2usize; // scaled from the paper's 56 (1-core machine)
@@ -80,49 +130,17 @@ fn main() {
     println!("## measured on this machine\n");
     println!("series\tinterval_us\toverhead_pct");
 
-    let baseline = run_workload(
-        0,
-        ThreadKind::Nonpreemptive,
-        KltParkMode::Futex,
-        KltPoolPolicy::WorkerLocal,
-        workers,
-        tpw,
-        units,
-    );
+    let baseline = run_workload(0, ThreadKind::Nonpreemptive, workers, tpw, units);
 
     let variants = [
-        Variant {
-            name: "KLT-switching (naive)",
-            kind: ThreadKind::KltSwitching,
-            park: KltParkMode::SigsuspendStyle,
-            pool: KltPoolPolicy::GlobalOnly,
-        },
-        Variant {
-            name: "KLT-switching (futex)",
-            kind: ThreadKind::KltSwitching,
-            park: KltParkMode::Futex,
-            pool: KltPoolPolicy::GlobalOnly,
-        },
-        Variant {
-            name: "KLT-switching (futex, local pool)",
-            kind: ThreadKind::KltSwitching,
-            park: KltParkMode::Futex,
-            pool: KltPoolPolicy::WorkerLocal,
-        },
-        Variant {
-            name: "Signal-yield",
-            kind: ThreadKind::SignalYield,
-            park: KltParkMode::Futex,
-            pool: KltPoolPolicy::WorkerLocal,
-        },
-        Variant {
-            // Nonpreemptive threads under an armed timer: the handler fires
-            // and returns without preempting = pure interruption cost.
-            name: "Timer interruption only",
-            kind: ThreadKind::Nonpreemptive,
-            park: KltParkMode::Futex,
-            pool: KltPoolPolicy::WorkerLocal,
-        },
+        (
+            "KLT-switching (futex, local pool)",
+            ThreadKind::KltSwitching,
+        ),
+        ("Signal-yield", ThreadKind::SignalYield),
+        // Nonpreemptive threads under an armed timer: the handler fires
+        // and returns without preempting = pure interruption cost.
+        ("Timer interruption only", ThreadKind::Nonpreemptive),
     ];
 
     let intervals: &[u64] = if quick {
@@ -130,12 +148,20 @@ fn main() {
     } else {
         &[100_000, 300_000, 1_000_000, 3_000_000, 10_000_000]
     };
-    for v in &variants {
+    for &(name, kind) in &variants {
         for &iv in intervals {
-            let t = run_workload(iv, v.kind, v.park, v.pool, workers, tpw, units);
+            let t = run_workload(iv, kind, workers, tpw, units);
             let overhead = (t / baseline - 1.0) * 100.0;
-            println!("{}\t{}\t{:.2}", v.name, iv / 1000, overhead);
+            println!("{name}\t{}\t{overhead:.2}", iv / 1000);
         }
+    }
+
+    println!("\n## park/resume round trip between two plain threads (no runtime)\n");
+    println!("wait\tmedian_rt_us");
+    let rounds = if quick { 2_000 } else { 20_000 };
+    for (name, signal_paced) in [("futex", false), ("signal-paced", true)] {
+        let ns = park_resume_rt_ns(signal_paced, rounds);
+        println!("{name}\t{:.2}", ns as f64 / 1000.0);
     }
 
     println!("\n## simulated (calibrated cost model; paper Fig. 6a Skylake)\n");
@@ -150,5 +176,6 @@ fn main() {
         }
     }
     println!("\n# expected shape: overhead ~ cost/interval; ordering naive > futex >");
-    println!("# futex+local > signal-yield ~= timer-only; all < 1% at 1 ms (Skylake panel).");
+    println!("# futex+local > signal-yield ~= timer-only; all < 1% at 1 ms (Skylake panel);");
+    println!("# the signal-paced round trip costs more than the futex one.");
 }

@@ -18,7 +18,7 @@ use repro_bench::measure::median;
 use repro_bench::oneone::SpinnerPool;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use ult_core::{Config, KltParkMode, Priority, Runtime, ThreadKind, TimerStrategy};
+use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
 
 /// Merge per-entity timestamp traces and extract switch-gap durations.
 fn switch_gaps(traces: &[Vec<u64>]) -> Vec<u64> {
@@ -41,12 +41,11 @@ fn switch_gaps(traces: &[Vec<u64>]) -> Vec<u64> {
 }
 
 /// Two M:N spinner ULTs of `kind` on one worker for `millis` ms.
-fn mn_traces(kind: ThreadKind, park: KltParkMode, millis: u64) -> Vec<Vec<u64>> {
+fn mn_traces(kind: ThreadKind, millis: u64) -> Vec<Vec<u64>> {
     let rt = Runtime::start(Config {
         num_workers: 1,
         preempt_interval_ns: 10_000_000, // the paper's 10 ms
         timer_strategy: TimerStrategy::PerWorkerAligned,
-        klt_park_mode: park,
         ..Config::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
@@ -134,7 +133,7 @@ fn main() {
 
     // Signal-yield M:N.
     {
-        let traces = mn_traces(ThreadKind::SignalYield, KltParkMode::Futex, millis);
+        let traces = mn_traces(ThreadKind::SignalYield, millis);
         let gaps = switch_gaps(&traces);
         println!(
             "Signal-yield\t{:.2}\t{}",
@@ -145,7 +144,7 @@ fn main() {
 
     // KLT-switching M:N (optimized: futex park + local pools).
     {
-        let traces = mn_traces(ThreadKind::KltSwitching, KltParkMode::Futex, millis);
+        let traces = mn_traces(ThreadKind::KltSwitching, millis);
         let gaps = switch_gaps(&traces);
         println!(
             "KLT-switching\t{:.2}\t{}",

@@ -4,14 +4,12 @@
 //!
 //! | binary | paper artifact |
 //! |---|---|
-//! | `fig4_interrupt` | Figure 4 — timer interruption time vs workers |
-//! | `fig6_overhead` | Figure 6 — preemption overhead vs interval |
+//! | `fig4_interrupt` | Figure 4 — timer interruption time vs workers (shipping timer measured, all four strategies simulated) |
+//! | `fig6_overhead` | Figure 6 — preemption overhead vs interval, plus a runtime-free futex vs signal-paced park/resume round trip |
 //! | `table1_direct` | Table 1 — direct preemption overhead, plus ULT vs `std::thread` spawn+join (§2.1) |
 //! | `fig7_chol` | Figure 7 — Cholesky GFLOPS vs tiles |
 //! | `fig8_hpgmg` | Figure 8 — thread-packing overhead (HPGMG) |
 //! | `fig9_md` | Figure 9 — in-situ analysis overhead (mini-MD) |
-//! | `ablation_timer` | §3.2 ablation — timer strategies |
-//! | `ablation_klt` | §3.3 ablation — KLT park mode and pool policy |
 //! | `bench_echo` | ablation — echo p99 with preemption on vs off (exit 1 below 5×) |
 //! | `bench_adaptive` | ablation — adaptive quantum vs fixed tick (exit 1 below 2× p99 or above 1.10× completion) |
 //!

@@ -2,28 +2,6 @@
 
 use crate::preempt::timer::TimerStrategy;
 
-/// How a parked KLT waits during KLT-switching suspension (paper §3.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KltParkMode {
-    /// Portable, unoptimized path: signal-paced wait in the style of
-    /// `sigsuspend`/`pthread_kill`, costing an extra signal round trip per
-    /// resume. Kept to reproduce the "KLT-switching (naive)" series of
-    /// Figure 6.
-    SigsuspendStyle,
-    /// Optimized path: futex wait/wake (Linux-specific, as in the paper).
-    Futex,
-}
-
-/// Where released/needed KLTs are cached (paper §3.3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KltPoolPolicy {
-    /// Only the global pool: reproduces "KLT-switching (futex)" in Figure 6.
-    GlobalOnly,
-    /// Worker-local pools backed by the global pool: the fully optimized
-    /// configuration ("KLT-switching (futex, local pool)").
-    WorkerLocal,
-}
-
 /// Scheduling policy selection (paper §4.1–§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
@@ -45,12 +23,9 @@ pub struct Config {
     pub num_workers: usize,
     /// Preemption tick interval in nanoseconds (0 disables all timers).
     pub preempt_interval_ns: u64,
-    /// Which timer coordination strategy drives preemption (paper §3.2).
+    /// Whether timers drive preemption: phase-aligned per-worker timers
+    /// (paper §3.2) or none.
     pub timer_strategy: TimerStrategy,
-    /// KLT park/resume mechanism (paper §3.3.1).
-    pub klt_park_mode: KltParkMode,
-    /// KLT caching policy (paper §3.3.2).
-    pub klt_pool_policy: KltPoolPolicy,
     /// Scheduler policy.
     pub sched_policy: SchedPolicy,
     /// Default ULT stack size in bytes.
@@ -85,8 +60,6 @@ impl Default for Config {
             num_workers: crate::sys_cpus(),
             preempt_interval_ns: 1_000_000, // 1 ms, the paper's default tick
             timer_strategy: TimerStrategy::PerWorkerAligned,
-            klt_park_mode: KltParkMode::Futex,
-            klt_pool_policy: KltPoolPolicy::WorkerLocal,
             sched_policy: SchedPolicy::WorkStealing,
             stack_size: ult_arch::stack::DEFAULT_STACK_SIZE,
             spare_klts: 2,

@@ -26,7 +26,6 @@
 //! scalability hot path — unlike the ready pools, which are lock-free
 //! Chase–Lev deques (`pool.rs`).
 
-use crate::config::KltParkMode;
 use crate::pool::SpinLock;
 use crate::worker::Worker;
 use std::cell::{Cell, UnsafeCell};
@@ -34,7 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicI32, AtomicPtr, AtomicU8, AtomicUsize,
 use std::sync::Arc;
 use ult_arch::Context;
 use ult_sys::futex::Futex;
-use ult_sys::signal::wake_signum;
 use ult_sys::tid::{gettid, Tid};
 
 thread_local! {
@@ -116,8 +114,6 @@ pub(crate) struct Klt {
     pub release_to: AtomicUsize, // ordering: acqrel
     /// Shutdown flag for the home loop.
     pub shutdown: AtomicBool, // ordering: acqrel
-    /// Park mechanism (futex vs sigsuspend-style; paper §3.3.1).
-    pub park_mode: KltParkMode,
 }
 
 // SAFETY: all mutable state is atomic or confined by the home-loop protocol
@@ -127,7 +123,7 @@ unsafe impl Send for Klt {}
 unsafe impl Sync for Klt {}
 
 impl Klt {
-    pub(crate) fn new(id: usize, park_mode: KltParkMode) -> Arc<Klt> {
+    pub(crate) fn new(id: usize) -> Arc<Klt> {
         Arc::new(Klt {
             id,
             tid: AtomicI32::new(0),
@@ -140,7 +136,6 @@ impl Klt {
             directive_klt: AtomicPtr::new(std::ptr::null_mut()),
             release_to: AtomicUsize::new(usize::MAX),
             shutdown: AtomicBool::new(false),
-            park_mode,
         })
     }
 
@@ -167,43 +162,27 @@ impl Klt {
         (d, k as *const Klt)
     }
 
-    /// Park in the home loop, honoring the configured park mode.
+    /// Park in the home loop (futex; paper §3.3.1).
     pub(crate) fn park_home(&self) {
-        match self.park_mode {
-            KltParkMode::Futex => self.home_park.park(),
-            KltParkMode::SigsuspendStyle => self.home_park.wait_sigsuspend_style(wake_signum()),
-        }
+        self.home_park.park();
     }
 
     /// Unpark the home loop.
     // sigsafe
     pub(crate) fn unpark_home(&self) {
-        match self.park_mode {
-            KltParkMode::Futex => self.home_park.unpark(),
-            KltParkMode::SigsuspendStyle => {
-                self.home_park.unpark_with_signal(self.tid(), wake_signum())
-            }
-        }
+        self.home_park.unpark();
     }
 
     /// Park captive (inside the preemption signal handler). Async-signal-safe.
     // sigsafe
     pub(crate) fn park_captive(&self) {
-        match self.park_mode {
-            KltParkMode::Futex => self.captive_park.park(),
-            KltParkMode::SigsuspendStyle => self.captive_park.wait_sigsuspend_style(wake_signum()),
-        }
+        self.captive_park.park();
     }
 
     /// Wake a captive KLT so its preempted ULT resumes (paper Fig. 3b).
     // sigsafe
     pub(crate) fn unpark_captive(&self) {
-        match self.park_mode {
-            KltParkMode::Futex => self.captive_park.unpark(),
-            KltParkMode::SigsuspendStyle => self
-                .captive_park
-                .unpark_with_signal(self.tid(), wake_signum()),
-        }
+        self.captive_park.unpark();
     }
 }
 
@@ -340,8 +319,8 @@ mod tests {
 
     #[test]
     fn directive_round_trip() {
-        let k = Klt::new(0, KltParkMode::Futex);
-        let k2 = Klt::new(1, KltParkMode::Futex);
+        let k = Klt::new(0);
+        let k2 = Klt::new(1);
         assert_eq!(k.take_directive().0, Directive::None);
         k.set_directive(Directive::WakeCaptiveThenRelease, Arc::as_ptr(&k2));
         let (d, p) = k.take_directive();
@@ -354,9 +333,9 @@ mod tests {
     #[test]
     fn pool_lifo_and_bound() {
         let pool = KltPool::new(2);
-        let a = Klt::new(0, KltParkMode::Futex);
-        let b = Klt::new(1, KltParkMode::Futex);
-        let c = Klt::new(2, KltParkMode::Futex);
+        let a = Klt::new(0);
+        let b = Klt::new(1);
+        let c = Klt::new(2);
         assert!(pool.push(a.clone()).is_ok());
         assert!(pool.push(b.clone()).is_ok());
         let _ = (&a, &b);
@@ -373,7 +352,7 @@ mod tests {
     fn pool_drain() {
         let pool = KltPool::new(10);
         for i in 0..5 {
-            assert!(pool.push(Klt::new(i, KltParkMode::Futex)).is_ok());
+            assert!(pool.push(Klt::new(i)).is_ok());
         }
         let all = pool.drain();
         assert_eq!(all.len(), 5);
@@ -382,7 +361,7 @@ mod tests {
 
     #[test]
     fn bind_unbind_current() {
-        let k = Klt::new(42, KltParkMode::Futex);
+        let k = Klt::new(42);
         assert!(current_klt().is_none());
         bind_current_klt(&k);
         assert_eq!(current_klt().unwrap().id, 42);
@@ -405,7 +384,7 @@ mod tests {
 
     #[test]
     fn captive_park_unpark_futex() {
-        let k = Klt::new(0, KltParkMode::Futex);
+        let k = Klt::new(0);
         k.unpark_captive();
         k.park_captive(); // token pre-deposited: returns immediately
     }

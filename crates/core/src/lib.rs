@@ -24,10 +24,12 @@
 //! * **Nonpreemptive** ([`ThreadKind::Nonpreemptive`]): the traditional M:N
 //!   thread; cheapest, scheduled only at explicit yields.
 //!
-//! All three kinds coexist in one runtime (paper §3.4). Preemption timers
-//! come in four coordination flavors ([`TimerStrategy`], paper §3.2):
-//! per-worker (naive or phase-aligned) and per-process (one-to-all or
-//! chained forwarding).
+//! All three kinds coexist in one runtime (paper §3.4). Preemption ticks
+//! come from one timer per worker with phases staggered across workers
+//! ([`TimerStrategy::PerWorkerAligned`], the paper's §3.2 winner); a
+//! KLT-switching park is a futex wait and replacement KLTs come from a
+//! worker-local pool first (§3.3). The paper's other timer strategies are
+//! modelled in `ult-simcore` only.
 //!
 //! ## Quick start
 //!
@@ -67,7 +69,7 @@ pub use api::{
     current_worker_rank, in_ult, make_ready, preempt_disable, preempt_enable, yield_now, yield_to,
     SpawnAttrs,
 };
-pub use config::{Config, KltParkMode, KltPoolPolicy, SchedPolicy};
+pub use config::{Config, SchedPolicy};
 pub use io_hook::{
     io_kick, kick_worker, reactor_wait_done, register_io_hooks, IoHooks, IoShardStats,
 };

@@ -1,6 +1,6 @@
 //! Implicit preemption: the signal handler implementing signal-yield
-//! (paper §3.1.1) and KLT-switching (paper §3.1.2), plus the timer
-//! strategies (§3.2) in [`timer`].
+//! (paper §3.1.1) and KLT-switching (paper §3.1.2), plus the aligned
+//! per-worker timers (§3.2) in [`timer`].
 //!
 //! # The preemption fast path
 //!
@@ -11,8 +11,7 @@
 //!    second tick can land while one is being handled; the per-KLT depth
 //!    flag drops it (one thread-local read).
 //! 2. **Embodiment check** — stale ticks aimed at a KLT that no longer
-//!    embodies its worker are dropped (chain ticks are re-forwarded first so
-//!    a stale receiver never breaks the chain).
+//!    embodies its worker are dropped.
 //! 3. **Handler self-filtering** — a cached per-worker deadline compared
 //!    against `CLOCK_MONOTONIC_COARSE` (vDSO cached timestamp: a couple of
 //!    loads, no syscall, no `rdtsc`) bounces definitely-early ticks without
@@ -56,44 +55,23 @@ use ult_arch::Context;
 use ult_sys::clock::{now_coarse_ns, now_ns};
 use ult_sys::signal::send_signal;
 
-/// Preemption tick: plain (no forwarding).
+/// The preemption tick signal.
 // sigsafe
 pub(crate) fn preempt_signum() -> i32 {
     libc::SIGRTMIN()
 }
 
-/// Chained tick: preempt, then forward to at most one next eligible worker
-/// (paper §3.2.2, "chained signals").
-// sigsafe
-pub(crate) fn chain_signum() -> i32 {
-    libc::SIGRTMIN() + 2
-}
-
-/// One-to-all leader tick: forward to every eligible worker, then preempt
-/// self (paper §3.2.2, "one-to-all").
-// sigsafe
-pub(crate) fn one_to_all_signum() -> i32 {
-    libc::SIGRTMIN() + 3
-}
-
-/// Install the preemption handlers process-wide. Idempotent.
+/// Install the preemption handler process-wide. Idempotent.
 pub(crate) fn install_handlers() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         ult_sys::signal::install_handler_info(preempt_signum(), preempt_handler)
             .expect("install preempt handler");
-        ult_sys::signal::install_handler_info(chain_signum(), preempt_handler)
-            .expect("install chain handler");
-        ult_sys::signal::install_handler_info(one_to_all_signum(), preempt_handler)
-            .expect("install one-to-all handler");
-        // The wake signal only needs to interrupt sigtimedwait; ignore it so
-        // stray deliveries are harmless.
-        ult_sys::signal::ignore_signal(ult_sys::signal::wake_signum()).expect("ignore wake signal");
     });
 }
 
-/// The preemption signal handler (all three tick signals).
+/// The preemption signal handler.
 ///
 /// Installed `SA_SIGINFO | SA_RESTART | SA_NODEFER`: the third argument is
 /// the kernel-saved `ucontext_t` that the signal-yield path hands to
@@ -101,7 +79,7 @@ pub(crate) fn install_handlers() {
 /// thread's mask — so no path needs a `sigprocmask` syscall.
 // sigsafe
 pub(crate) extern "C" fn preempt_handler(
-    sig: i32,
+    _sig: i32,
     _info: *mut libc::siginfo_t,
     uc: *mut libc::c_void,
 ) {
@@ -109,8 +87,6 @@ pub(crate) extern "C" fn preempt_handler(
     // interrupted invocation is already mid-decision on this KLT, and a
     // second decision taken over its half-read state could preempt from the
     // wrong KLT. Drop the tick — the outer invocation *is* the preemption.
-    // (Also closes the same hazard for cross-signal nesting among the three
-    // tick signals, which was never masked.)
     if crate::sigsafe::in_signal_handler() {
         return;
     }
@@ -122,8 +98,7 @@ pub(crate) extern "C" fn preempt_handler(
     #[cfg(debug_assertions)]
     crate::sigsafe::maybe_inject_alloc();
     let Some(klt) = current_klt() else {
-        // Signal landed on a non-runtime thread (possible for per-process
-        // SIGEV_SIGNAL before routing settles); drop it.
+        // Signal landed on a non-runtime thread (a raised tick); drop it.
         return;
     };
     let wp = klt.worker.load(Ordering::Acquire);
@@ -138,30 +113,15 @@ pub(crate) extern "C" fn preempt_handler(
     // until the scheduler rebinds the timer).
     if !std::ptr::eq(w.current_klt.load(Ordering::Acquire), klt) {
         w.stats.stale_ticks.fetch_add(1, Ordering::Relaxed);
-        // A stale receiver must not swallow a chain tick: re-forward so the
-        // chain survives the receiver having been preempted/rebound between
-        // eligibility check and delivery.
-        if sig == chain_signum() {
-            forward_chain(rt, w);
-        }
         return;
     }
     w.stats.timer_ticks.fetch_add(1, Ordering::Relaxed);
 
     // Elided-timer nudge: a pusher saw this worker elided and queued work
     // for it; re-arm the periodic timer from the safety of the owner KLT
-    // (per-worker strategies only — see `rearm_from_handler`).
+    // (see `rearm_from_handler`).
     if w.tick_elided.load(Ordering::SeqCst) {
         w.rearm_from_handler(rt);
-    }
-
-    // Per-process strategies: forward before (possibly) preempting self, so
-    // the chain proceeds concurrently with our own switch — and regardless
-    // of whether the filter below drops our local share of the tick.
-    if sig == one_to_all_signum() {
-        forward_one_to_all(rt, w);
-    } else if sig == chain_signum() {
-        forward_chain(rt, w);
     }
 
     // Handler self-filtering: a definitely-early tick (echo of a fresh
@@ -186,73 +146,6 @@ pub(crate) extern "C" fn preempt_handler(
     maybe_preempt(rt, w, klt, t_enter, uc);
 }
 
-/// Leader of the one-to-all per-process timer: signal every worker whose
-/// running thread is preemptive (paper §3.2.2). Failed sends (a worker's
-/// KLT exited or is being rebound) are counted, not fatal.
-// sigsafe
-fn forward_one_to_all(rt: &RuntimeInner, me: &Worker) {
-    for other in rt.workers.iter() {
-        if other.rank == me.rank {
-            continue;
-        }
-        if try_send_tick(other, preempt_signum()) == SendOutcome::Failed {
-            me.stats.forward_skips.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Chained signals: forward to at most one next worker (strictly increasing
-/// rank, so one lap terminates; paper Figure 5b). A *failed* send — the
-/// target's KLT exited or is mid-rebind between our eligibility check and
-/// the `tgkill` — must not end the chain early: skip to the next eligible
-/// worker and count the skip.
-// sigsafe
-fn forward_chain(rt: &RuntimeInner, me: &Worker) {
-    let (sent_to, skips) = chain_walk(me.rank, rt.workers.len(), &mut |rank| {
-        try_send_tick(&rt.workers[rank], chain_signum())
-    });
-    let _ = sent_to;
-    if skips > 0 {
-        me.stats.forward_skips.fetch_add(skips, Ordering::Relaxed);
-    }
-}
-
-/// The chain-walk decision procedure, extracted pure for unit testing:
-/// starting after `from`, try each rank until one accepts the tick
-/// (`Sent`); `Failed` outcomes are skipped over and counted; `Ineligible`
-/// outcomes are passed over silently. Returns the accepting rank (if any)
-/// and the number of failed sends skipped.
-// sigsafe
-fn chain_walk(
-    from: usize,
-    n: usize,
-    attempt: &mut dyn FnMut(usize) -> SendOutcome,
-) -> (Option<usize>, u64) {
-    let mut skips = 0u64;
-    for rank in from + 1..n {
-        match attempt(rank) {
-            SendOutcome::Sent => return (Some(rank), skips),
-            SendOutcome::Ineligible => {}
-            SendOutcome::Failed => skips += 1,
-        }
-    }
-    (None, skips)
-}
-
-/// Outcome of attempting to forward a tick to a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendOutcome {
-    /// The tick was delivered to the worker's current KLT.
-    Sent,
-    /// The worker doesn't want ticks right now (nonpreemptive or no
-    /// occupant, or its tick is elided — ≤1 runnable means nothing to
-    /// timeslice to).
-    Ineligible,
-    /// `tgkill` failed: the target KLT exited between the eligibility check
-    /// and the send.
-    Failed,
-}
-
 /// The reactor watcher's preemption (`io_hook::io_kick`, which holds the
 /// lock that keeps `w`'s runtime alive): a fd of `w`'s shard is ready, so
 /// take the CPU from `w`'s occupant now instead of at the next tick. The
@@ -266,7 +159,7 @@ pub(crate) fn io_kick(w: &Worker) -> bool {
     let sent = !w.reactor_park.load(Ordering::SeqCst) && {
         w.io_kick.store(true, Ordering::Release);
         w.preempt_deadline_ns.store(0, Ordering::Release);
-        try_send_tick(w, preempt_signum()) == SendOutcome::Sent
+        try_send_tick(w)
     };
     crate::debug_registry::event(
         crate::debug_registry::ev::IOKICK,
@@ -276,33 +169,22 @@ pub(crate) fn io_kick(w: &Worker) -> bool {
     sent
 }
 
-/// Try to send `sig` to `other`'s current KLT if its running thread is
-/// preemptive and its tick is not elided. Reads only the `current_kind`
-/// mirror — never dereferences the remote `current` pointer (the remote
-/// thread may finish and be freed concurrently).
-// sigsafe
-fn try_send_tick(other: &Worker, sig: i32) -> SendOutcome {
-    if other.tick_elided.load(Ordering::SeqCst) {
-        return SendOutcome::Ineligible;
-    }
-    if !other.stats.current_kind_preemptive() {
-        return SendOutcome::Ineligible;
+/// Send a tick to `other`'s current KLT if its running thread is
+/// preemptive and its tick is not elided; returns whether one was sent.
+/// Reads only the `current_kind` mirror — never dereferences the remote
+/// `current` pointer (the remote thread may finish and be freed
+/// concurrently).
+fn try_send_tick(other: &Worker) -> bool {
+    if other.tick_elided.load(Ordering::SeqCst) || !other.stats.current_kind_preemptive() {
+        return false;
     }
     let kp = other.current_klt.load(Ordering::Acquire);
     if kp.is_null() {
-        return SendOutcome::Ineligible;
+        return false;
     }
     // SAFETY: KLTs are registry-kept for the runtime's life.
-    let k: &Klt = unsafe { &*kp };
-    let tid = k.tid();
-    if tid == 0 {
-        return SendOutcome::Ineligible;
-    }
-    if send_signal(tid, sig) {
-        SendOutcome::Sent
-    } else {
-        SendOutcome::Failed
-    }
+    let tid = unsafe { &*kp }.tid();
+    tid != 0 && send_signal(tid, preempt_signum())
 }
 
 /// Decide and perform the preemption of the current ULT, if any.
@@ -353,8 +235,8 @@ fn maybe_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t_enter: u64, uc: *mu
     // This tick will act: account expirations the kernel merged while the
     // signal was pending (`timer_getoverrun`), so overload (interval ≪
     // handler cost) is measured rather than silently absorbed. Skipped when
-    // no timer handle is published (e.g. `TimerStrategy::None` with raised
-    // ticks).
+    // no timer handle is published (`TimerStrategy::None` with raised
+    // ticks, or a worker whose `timer_create` failed).
     if let Some(h) = rt.timers.raw_handle(w.rank) {
         let ov = ult_sys::timer::overrun_raw(h);
         if ov > 0 {
@@ -433,12 +315,7 @@ unsafe extern "C" fn preempt_resume_hook() {
 fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter: u64, now: u64) {
     // Acquire a replacement KLT: worker-local pool, then global pool
     // (paper §3.3.2). All pops are async-signal-safe.
-    let k2 = if rt.config.klt_pool_policy == crate::config::KltPoolPolicy::WorkerLocal {
-        w.local_klts.pop()
-    } else {
-        None
-    }
-    .or_else(|| rt.global_klts.pop());
+    let k2 = w.local_klts.pop().or_else(|| rt.global_klts.pop());
 
     let Some(k2) = k2 else {
         // No KLT available: request one from the creator and return — we
@@ -520,47 +397,4 @@ fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter
     // returning from the handler resumes the interrupted user code on the
     // SAME KLT — KLT-local data was never exposed to another thread; the
     // kernel's sigreturn restores the (never-modified) mask.
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chain_walk_skips_failed_sends() {
-        // Worker 2's KLT "died" between eligibility and tgkill; the chain
-        // must hop over it and land on worker 4.
-        let outcomes = [
-            SendOutcome::Ineligible, // 0 (never asked; from=0 starts at 1)
-            SendOutcome::Ineligible, // 1
-            SendOutcome::Failed,     // 2  <- killed mid-chain
-            SendOutcome::Ineligible, // 3
-            SendOutcome::Sent,       // 4
-            SendOutcome::Sent,       // 5 (must never be asked)
-        ];
-        let mut asked = Vec::new();
-        let (sent, skips) = chain_walk(0, outcomes.len(), &mut |rank| {
-            asked.push(rank);
-            outcomes[rank]
-        });
-        assert_eq!(sent, Some(4));
-        assert_eq!(skips, 1);
-        assert_eq!(asked, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chain_walk_all_dead_ends() {
-        // Every downstream worker is gone: the chain ends, all failures
-        // counted, no panic, no wraparound.
-        let (sent, skips) = chain_walk(1, 4, &mut |_| SendOutcome::Failed);
-        assert_eq!(sent, None);
-        assert_eq!(skips, 2);
-    }
-
-    #[test]
-    fn chain_walk_from_last_rank_is_empty() {
-        let (sent, skips) = chain_walk(3, 4, &mut |_| panic!("must not send"));
-        assert_eq!(sent, None);
-        assert_eq!(skips, 0);
-    }
 }

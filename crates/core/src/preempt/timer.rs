@@ -1,11 +1,8 @@
-//! Preemption-timer strategies (paper §3.2).
-//!
-//! | Strategy | Timers | Coordination | Paper series (Fig. 4) |
-//! |---|---|---|---|
-//! | [`TimerStrategy::PerWorkerCreationTime`] | one per worker | none — all phases coincide | "Per-worker (creation-time)" |
-//! | [`TimerStrategy::PerWorkerAligned`] | one per worker | phases staggered by `i·T/N` | "Per-worker (aligned)" |
-//! | [`TimerStrategy::PerProcessOneToAll`] | one (leader) | leader signals every eligible worker | "Per-process (one-to-all)" |
-//! | [`TimerStrategy::PerProcessChain`] | one (leader) | each worker forwards to at most one next | "Per-process (chain)" |
+//! Preemption timers (paper §3.2): one POSIX timer per worker, phases
+//! staggered by `i·T/N` so that no two workers take their ticks at the same
+//! instant (Fig. 5a, "aligned"). The paper's other three strategies
+//! (creation-time phases, one-to-all and chained per-process signals) live
+//! only in `ult-simcore`'s Fig. 4 model.
 //!
 //! Per-worker timers use Linux's `SIGEV_THREAD_ID` (not POSIX — the paper's
 //! portability caveat, §3.2.1). Under KLT-switching the embodiment of a
@@ -20,43 +17,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ult_sys::tid::Tid;
 use ult_sys::timer::{aligned_phase_ns, IntervalTimer};
 
-/// Timer-coordination strategy (paper §3.2).
+/// Whether timers drive preemption (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerStrategy {
-    /// No implicit preemption (traditional nonpreemptive M:N threads).
+    /// No implicit preemption (traditional nonpreemptive M:N threads). The
+    /// handler stays installed, so a raised tick is still handled.
     None,
-    /// One timer per worker, all armed with identical phase — the naive
-    /// scheme whose signal contention Figure 4 quantifies.
-    PerWorkerCreationTime,
     /// One timer per worker with aligned (staggered) phases (Fig. 5a).
     PerWorkerAligned,
-    /// One process timer; the leader signals all eligible workers at once.
-    PerProcessOneToAll,
-    /// One process timer; workers forward the tick one-by-one (Fig. 5b).
-    PerProcessChain,
 }
 
-impl TimerStrategy {
-    /// Whether each worker owns a timer (vs only the leader).
-    // sigsafe
-    pub fn is_per_worker(self) -> bool {
-        matches!(
-            self,
-            TimerStrategy::PerWorkerCreationTime | TimerStrategy::PerWorkerAligned
-        )
-    }
-
-    /// Whether a single leader timer drives all workers.
-    pub fn is_per_process(self) -> bool {
-        matches!(
-            self,
-            TimerStrategy::PerProcessOneToAll | TimerStrategy::PerProcessChain
-        )
-    }
-}
-
-/// Per-runtime timer state: one slot per worker (only the leader slot is
-/// used by per-process strategies).
+/// Per-runtime timer state: one slot per worker.
 pub(crate) struct TimerSet {
     slots: Vec<Mutex<Option<IntervalTimer>>>,
     /// Published raw `timer_t` handles ([`NO_HANDLE`] = none), one per
@@ -99,51 +70,6 @@ impl TimerSet {
         }
     }
 
-    /// Arm (or re-arm) worker `w`'s timer targeting KLT `tid`, according to
-    /// the runtime's strategy. Called from scheduler/home-loop context only
-    /// (never from a signal handler — `timer_create` is not
-    /// async-signal-safe, which is exactly why rebinds are deferred to the
-    /// scheduler via the `timer_rebind` flag).
-    pub(crate) fn bind_worker(&self, rt: &RuntimeInner, w: &Worker, tid: Tid) {
-        let interval = rt.config.preempt_interval_ns;
-        if interval == 0 || tid == 0 {
-            return;
-        }
-        let strategy = rt.config.timer_strategy;
-        let n = rt.workers.len();
-        let (signum, phase) = match strategy {
-            TimerStrategy::None => return,
-            TimerStrategy::PerWorkerCreationTime => {
-                // Deliberately un-staggered: every worker's first expiry is
-                // one full interval after arming; since all workers arm at
-                // startup within microseconds of each other, the expirations
-                // coincide — the contention-prone naive scheme.
-                (crate::preempt::preempt_signum(), interval)
-            }
-            TimerStrategy::PerWorkerAligned => (
-                crate::preempt::preempt_signum(),
-                aligned_phase_ns(w.rank, n, interval),
-            ),
-            TimerStrategy::PerProcessOneToAll => {
-                if w.rank != 0 {
-                    return;
-                }
-                (crate::preempt::one_to_all_signum(), interval)
-            }
-            TimerStrategy::PerProcessChain => {
-                if w.rank != 0 {
-                    return;
-                }
-                (crate::preempt::chain_signum(), interval)
-            }
-        };
-        let timer = IntervalTimer::per_thread(tid, signum, interval, phase)
-            .expect("timer_create for worker");
-        let raw = timer.raw_handle() as usize;
-        *self.slots[w.rank].lock() = Some(timer);
-        self.handles[w.rank].store(raw, Ordering::Release);
-    }
-
     /// Re-target worker `w`'s timer to its *current* KLT.
     pub(crate) fn rebind_worker(&self, rt: &RuntimeInner, w: &Worker) {
         let kp = w.current_klt.load(std::sync::atomic::Ordering::Acquire);
@@ -155,17 +81,18 @@ impl TimerSet {
         self.rebind_worker_to(rt, w, tid);
     }
 
-    /// Re-target worker `w`'s timer to an explicit KLT tid.
+    /// (Re-)target worker `w`'s timer at KLT `tid`. Called from
+    /// scheduler/home-loop context only (never from a signal handler —
+    /// `timer_create` is not async-signal-safe, which is exactly why rebinds
+    /// are deferred to the scheduler via the `timer_rebind` flag).
+    ///
+    /// A failed `timer_create` (e.g. `EAGAIN` once `RLIMIT_SIGPENDING` is
+    /// spent) leaves [`NO_HANDLE`] published and the worker without ticks:
+    /// it still runs every ULT, just never preempts one.
     pub(crate) fn rebind_worker_to(&self, rt: &RuntimeInner, w: &Worker, tid: Tid) {
-        if rt.config.preempt_interval_ns == 0 || tid == 0 {
+        let interval = rt.config.preempt_interval_ns;
+        if interval == 0 || tid == 0 || rt.config.timer_strategy == TimerStrategy::None {
             return;
-        }
-        let strategy = rt.config.timer_strategy;
-        if strategy == TimerStrategy::None {
-            return;
-        }
-        if strategy.is_per_process() && w.rank != 0 {
-            return; // only the leader owns a timer
         }
         // Drop the old timer and create a fresh one aimed at the new KLT.
         // (SIGEV_THREAD_ID is fixed at creation; re-targeting requires
@@ -173,21 +100,26 @@ impl TimerSet {
         // a handle mid-deletion.
         self.handles[w.rank].store(NO_HANDLE, Ordering::Release);
         *self.slots[w.rank].lock() = None;
-        self.bind_worker(rt, w, tid);
+        let phase = aligned_phase_ns(w.rank, rt.workers.len(), interval);
+        let signum = crate::preempt::preempt_signum();
+        let Ok(timer) = IntervalTimer::per_thread(tid, signum, interval, phase) else {
+            w.stats
+                .timer_create_failures
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let raw = timer.raw_handle() as usize;
+        *self.slots[w.rank].lock() = Some(timer);
+        self.handles[w.rank].store(raw, Ordering::Release);
     }
 
     /// Stop worker `w`'s periodic tick (tick elision: ≤1 runnable ULT means
-    /// there is nothing to timeslice *to*). Per-worker strategies disarm the
-    /// existing timer in place (`timer_settime 0`, keeping it created so the
-    /// handler can re-arm it by raw handle); per-process strategies change
-    /// nothing here — the caller's `tick_elided` flag already removes the
-    /// worker from forwarding eligibility, and the leader's timer must keep
-    /// running to drive the *other* workers' chains. Scheduler context only.
-    pub(crate) fn elide_worker(&self, rt: &RuntimeInner, w: &Worker) {
-        if rt.config.timer_strategy.is_per_worker() {
-            if let Some(t) = self.slots[w.rank].lock().as_ref() {
-                let _ = t.disarm();
-            }
+    /// there is nothing to timeslice *to*): disarm the existing timer in
+    /// place (`timer_settime 0`, keeping it created so the handler can
+    /// re-arm it by raw handle). Scheduler context only.
+    pub(crate) fn elide_worker(&self, w: &Worker) {
+        if let Some(t) = self.slots[w.rank].lock().as_ref() {
+            let _ = t.disarm();
         }
     }
 
@@ -197,10 +129,8 @@ impl TimerSet {
     /// Scheduler context only — signal handlers re-arm via
     /// [`TimerSet::raw_handle`] + `ult_sys::timer::arm_raw` instead.
     pub(crate) fn rearm_worker(&self, rt: &RuntimeInner, w: &Worker) {
-        if rt.config.timer_strategy.is_per_worker() {
-            if let Some(t) = self.slots[w.rank].lock().as_ref() {
-                let _ = t.arm(w.quantum_ns(rt), 0);
-            }
+        if let Some(t) = self.slots[w.rank].lock().as_ref() {
+            let _ = t.arm(w.quantum_ns(rt), 0);
         }
     }
 
@@ -221,17 +151,6 @@ impl TimerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_classification() {
-        assert!(TimerStrategy::PerWorkerAligned.is_per_worker());
-        assert!(TimerStrategy::PerWorkerCreationTime.is_per_worker());
-        assert!(!TimerStrategy::PerWorkerAligned.is_per_process());
-        assert!(TimerStrategy::PerProcessChain.is_per_process());
-        assert!(TimerStrategy::PerProcessOneToAll.is_per_process());
-        assert!(!TimerStrategy::None.is_per_worker());
-        assert!(!TimerStrategy::None.is_per_process());
-    }
 
     #[test]
     fn timer_set_shape() {

@@ -7,7 +7,7 @@
 //! worker-local KLT pools (§3.3.2) and a dedicated KLT-creator thread
 //! (because `pthread_create` is not async-signal-safe).
 
-use crate::config::{Config, KltPoolPolicy};
+use crate::config::Config;
 use crate::klt::{bind_current_klt, unbind_current_klt, Directive, Klt, KltCreator, KltPool};
 use crate::preempt::timer::TimerSet;
 use crate::stats::RuntimeStats;
@@ -86,12 +86,8 @@ impl RuntimeInner {
         let config = config.validated().expect("invalid Config");
 
         let n = config.num_workers;
-        let local_cap = match config.klt_pool_policy {
-            KltPoolPolicy::GlobalOnly => 0,
-            KltPoolPolicy::WorkerLocal => 4,
-        };
         let workers: Box<[Arc<Worker>]> = (0..n)
-            .map(|rank| Worker::new(rank, INITIAL_POOL_CAPACITY, config.stat_samples, local_cap))
+            .map(|rank| Worker::new(rank, INITIAL_POOL_CAPACITY, config.stat_samples))
             .collect();
 
         // Warm the coarse-clock resolution cache while no handler can run;
@@ -170,7 +166,7 @@ impl RuntimeInner {
     pub(crate) fn start_klt(self: &Arc<Self>, first_worker: Option<usize>) -> Arc<Klt> {
         let mut reg = self.klt_registry.lock();
         let id = reg.len();
-        let klt = Klt::new(id, self.config.klt_park_mode);
+        let klt = Klt::new(id);
         reg.push(klt.clone());
         drop(reg);
         let rt = self.clone();
@@ -186,9 +182,7 @@ impl RuntimeInner {
     /// Return an idle KLT to the pools: the preferring worker's local pool
     /// first (paper §3.3.2), overflowing to the global pool.
     pub(crate) fn release_klt(&self, klt: &Arc<Klt>, prefer_rank: usize) {
-        if self.config.klt_pool_policy == KltPoolPolicy::WorkerLocal
-            && prefer_rank < self.workers.len()
-        {
+        if prefer_rank < self.workers.len() {
             // Err means the local pool is full; overflow to the global pool.
             if self.workers[prefer_rank]
                 .local_klts

@@ -237,12 +237,7 @@ pub(crate) fn rearm_on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
     if !target.tick_elided.load(Ordering::SeqCst) {
         return;
     }
-    if !rt.config.timer_strategy.is_per_worker() {
-        // Per-process: the leader timer never stopped; clearing the flag
-        // restores this worker's forwarding eligibility.
-        target.tick_elided.store(false, Ordering::SeqCst);
-        target.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
-    } else if is_self {
+    if is_self {
         // Our own worker, running a preemptive spawner: re-arm directly.
         target.tick_elided.store(false, Ordering::SeqCst);
         rt.timers.rearm_worker(rt, target);
@@ -256,22 +251,15 @@ pub(crate) fn rearm_on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
 
 /// Handler-context variant of [`rearm_on_push`] for cross-worker pushes
 /// from `on_preempted` (which may run inside the preemption handler, where
-/// the timer mutex is off-limits): per-worker strategies get a signal
-/// nudge, per-process strategies a plain flag clear.
+/// the timer mutex is off-limits): the target gets a signal nudge.
 // sigsafe
 fn rearm_on_remote_push(rt: &RuntimeInner, target: &Worker) {
     if !rt.tick_elision {
         return;
     }
     std::sync::atomic::fence(Ordering::SeqCst);
-    if !target.tick_elided.load(Ordering::SeqCst) {
-        return;
-    }
-    if rt.config.timer_strategy.is_per_worker() {
+    if target.tick_elided.load(Ordering::SeqCst) {
         nudge_elided(target);
-    } else {
-        target.tick_elided.store(false, Ordering::SeqCst);
-        target.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -675,15 +663,29 @@ mod tests {
     fn a_remote_push_still_wakes_the_owner_and_asks_for_its_tick() {
         let rt = RuntimeInner::new(crate::Config {
             num_workers: 1,
-            timer_strategy: crate::TimerStrategy::PerProcessChain,
             ..crate::Config::default()
         });
         let w = &rt.workers[0];
+        // The test thread embodies the owner, so the nudge tick lands here
+        // and its handler runs before the send returns.
+        crate::preempt::install_handlers();
+        let klt = crate::klt::Klt::new(0);
+        crate::klt::bind_current_klt(&klt);
+        klt.worker.store(
+            Arc::as_ptr(&rt.workers[0]) as *mut Worker,
+            Ordering::Release,
+        );
+        w.current_klt
+            .store(Arc::as_ptr(&klt) as *mut _, Ordering::Release);
         w.tick_elided.store(true, Ordering::SeqCst);
         on_ready(&rt, w, ult(1, SchedClass::Normal), true, false);
-        assert!(!w.tick_elided.load(Ordering::SeqCst));
-        assert_eq!(w.stats.tick_rearms.load(Ordering::Relaxed), 1);
+        crate::klt::unbind_current_klt();
         assert_eq!(w.stats.unparks.load(Ordering::Relaxed), 1);
+        assert_eq!(w.stats.timer_ticks.load(Ordering::Relaxed), 1);
+        // With no preemptive occupant the handler leaves the re-arm to the
+        // owner's next dispatch.
+        assert!(w.tick_elided.load(Ordering::SeqCst));
+        assert_eq!(w.stats.tick_rearms.load(Ordering::Relaxed), 0);
     }
 
     #[test]

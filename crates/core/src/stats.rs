@@ -189,8 +189,8 @@ worker_counters! {
     filtered_ticks:
     /// Ticks dismissed by the coarse-clock deadline filter.
     u64;
-    /// Times this worker's periodic tick was elided (timer disarmed / taken
-    /// out of forwarding eligibility) because it had ≤1 runnable ULT.
+    /// Times this worker's periodic tick was elided (timer disarmed)
+    /// because it had ≤1 runnable ULT.
     tick_elisions:
     /// Periodic ticks elided (timer disarmed with ≤1 runnable ULT).
     u64;
@@ -203,10 +203,11 @@ worker_counters! {
     timer_overruns:
     /// Kernel-coalesced timer expirations (`timer_getoverrun`).
     u64;
-    /// Chain/one-to-all forwards that skipped a worker because the signal
-    /// send failed (stale tid: target KLT exited or was rebinding).
-    forward_skips:
-    /// Forwarding sends skipped over stale/exited worker KLTs.
+    /// Times this worker's `timer_create` failed (at start or at a
+    /// KLT-switch rebind); the worker runs without ticks until the next
+    /// rebind succeeds.
+    timer_create_failures:
+    /// Failed `timer_create` calls (workers left without ticks).
     u64;
     /// Threads run to completion on this worker.
     completed:
@@ -262,8 +263,9 @@ impl WorkerStats {
         self.current_kind.store(v, Ordering::Release);
     }
 
-    /// Whether the running thread (if any) is preemptive — the eligibility
-    /// test of the per-process timer scans (paper §3.2.2).
+    /// Whether the running thread (if any) is preemptive — the test the
+    /// reactor watcher's kick and the tick re-arm paths make before
+    /// signalling or arming for this worker.
     #[inline]
     // sigsafe
     pub fn current_kind_preemptive(&self) -> bool {

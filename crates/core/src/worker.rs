@@ -14,7 +14,7 @@
 //! runtime critical section, and 0 only while user ULT code runs.** The
 //! counter is only ever mutated by the KLT currently embodying the worker
 //! (handlers run on that same KLT), so there is no remote contention — it is
-//! atomic only for visibility in assertions and per-process timer scans.
+//! atomic only for visibility in assertions.
 //!
 //! Every suspension path *increments before switching away from a ULT* and
 //! every resumption path *decrements after gaining ULT control*:
@@ -38,6 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, O
 use std::sync::Arc;
 use ult_arch::{CacheAligned, Context, Stack};
 use ult_sys::futex::Futex;
+
+/// Capacity of each worker-local KLT pool (paper §3.3.2); released KLTs
+/// beyond it overflow to the global pool.
+const LOCAL_KLT_POOL_CAP: usize = 4;
 
 /// Why control returned from a ULT to the scheduler context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,10 +119,8 @@ pub(crate) struct Worker {
     // ordering: relaxed echo-suppression heuristic; a stale read only misfilters one tick
     pub last_preempt_ns: AtomicU64,
     /// Tick elision (≤1 runnable ULT ⇒ nothing to timeslice to): when set,
-    /// this worker's periodic timer is disarmed (per-worker strategies) and
-    /// the worker is skipped by chain/one-to-all forwarding (per-process
-    /// strategies). Cleared by the push paths / the handler when work
-    /// arrives. Dekker-paired with the pushers: the elider stores `true`,
+    /// this worker's periodic timer is disarmed. Cleared by the push paths /
+    /// the handler when work arrives. Dekker-paired with the pushers: the elider stores `true`,
     /// fences, then re-reads the pools; the pusher pushes, fences, then
     /// reads this flag.
     pub tick_elided: AtomicBool, // ordering: seqcst Dekker pairing against the push paths
@@ -176,12 +178,7 @@ unsafe impl Send for Worker {}
 unsafe impl Sync for Worker {}
 
 impl Worker {
-    pub(crate) fn new(
-        rank: usize,
-        pool_capacity: usize,
-        stat_samples: usize,
-        local_klt_cap: usize,
-    ) -> Arc<Worker> {
+    pub(crate) fn new(rank: usize, pool_capacity: usize, stat_samples: usize) -> Arc<Worker> {
         let sched_stack = Stack::new(128 * 1024).expect("scheduler stack");
         let w = Arc::new(Worker {
             rank,
@@ -195,7 +192,7 @@ impl Worker {
             switch_reason: AtomicU8::new(SwitchReason::None as u8),
             pool: Arc::new(ThreadPool::with_capacity(pool_capacity)),
             lo_pool: Arc::new(ThreadPool::with_capacity(pool_capacity)),
-            local_klts: crate::klt::KltPool::new(local_klt_cap),
+            local_klts: crate::klt::KltPool::new(LOCAL_KLT_POOL_CAP),
             wake: Futex::new(),
             idle: AtomicBool::new(false),
             reactor_park: AtomicBool::new(false),
@@ -360,7 +357,7 @@ impl Worker {
         // protocol; model: `quantum_publish_vs_handler`).
         self.cur_quantum_ns.store(floor, Ordering::Release);
         self.preempt_deadline_ns.store(0, Ordering::Release);
-        if rt.config.timer_strategy.is_per_worker() && !self.tick_elided.load(Ordering::SeqCst) {
+        if !self.tick_elided.load(Ordering::SeqCst) {
             if let Some(h) = rt.timers.raw_handle(self.rank) {
                 ult_sys::timer::arm_raw(h, floor);
             }
@@ -369,14 +366,9 @@ impl Worker {
 
     /// Handler-side rearm after elision: a tick (nudge) reached this worker
     /// while its timer was elided, meaning a pusher saw queued work. Re-arm
-    /// the periodic timer via the published raw handle (per-worker
-    /// strategies only — per-process pushers clear the flag directly and the
-    /// leader timer never stopped).
+    /// the periodic timer via the published raw handle.
     // sigsafe
     pub(crate) fn rearm_from_handler(&self, rt: &RuntimeInner) {
-        if !rt.config.timer_strategy.is_per_worker() {
-            return;
-        }
         // An idle or nonpreemptive occupant re-arms at its next dispatch
         // instead; arming here would tick a worker with nothing to preempt.
         if !self.stats.current_kind_preemptive() {
@@ -470,7 +462,7 @@ fn update_quantum(rt: &RuntimeInner, w: &Worker, t: &Ult) {
     // and derives the deadline from the new quantum (the quantum-publish
     // protocol; model: `quantum_publish_vs_handler`).
     w.cur_quantum_ns.store(next, Ordering::Release);
-    if rt.config.timer_strategy.is_per_worker() && !w.tick_elided.load(Ordering::SeqCst) {
+    if !w.tick_elided.load(Ordering::SeqCst) {
         if let Some(h) = rt.timers.raw_handle(w.rank) {
             ult_sys::timer::arm_raw(h, next);
         }
@@ -493,7 +485,7 @@ fn try_elide(rt: &RuntimeInner, w: &Worker) {
         crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 2, w.rank as u64);
         return;
     }
-    rt.timers.elide_worker(rt, w);
+    rt.timers.elide_worker(w);
     crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 1, w.rank as u64);
     w.stats.tick_elisions.fetch_add(1, Ordering::Relaxed);
     // A handler on this KLT may have re-armed between our flag store and
@@ -545,7 +537,7 @@ fn update_tick_state(rt: &RuntimeInner, w: &Worker, t: &Ult) {
         // the handler could never preempt it. No Dekker re-check needed;
         // the next dispatch re-arms if work is waiting.
         w.tick_elided.store(true, Ordering::SeqCst);
-        rt.timers.elide_worker(rt, w);
+        rt.timers.elide_worker(w);
         crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 5, w.rank as u64);
         w.stats.tick_elisions.fetch_add(1, Ordering::Relaxed);
     }
@@ -707,8 +699,8 @@ fn normal_run(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
         );
     }
     t.set_state(UltState::Running);
-    // Publish `current` (and its kind mirror for remote per-process timer
-    // scans) while preemption is still disabled; the handler only acts when
+    // Publish `current` (and its kind mirror for the remote watcher's kick)
+    // while preemption is still disabled; the handler only acts when
     // the disable count drops to 0 inside the ULT prologue.
     w.current
         .store(Arc::as_ptr(&t) as *mut Ult, Ordering::Release);

@@ -1,17 +1,18 @@
 //! Preemption latency and tick elision (the PR-3 fast path).
 //!
-//! Three properties, per timer strategy where they apply:
+//! Three properties of the aligned per-worker timers:
 //!
-//! 1. **Elision**: a worker whose sole runnable is a spinner — or a worker
-//!    with no work at all — takes ~zero timer signals (a non-elided 1 ms
-//!    timer would deliver ~1000 over the measurement window).
+//! 1. **Elision**: a worker whose sole runnable is a spinner, a worker whose
+//!    occupant is nonpreemptive (however much work waits behind it), or a
+//!    worker with no work at all takes ~zero timer signals (a non-elided
+//!    timer would deliver one per tick over the measurement window).
 //! 2. **Latency**: the moment a second ULT arrives, the elided timer is
 //!    re-armed and the busy spinner is preempted within 10× the tick
 //!    interval — elision must not cost responsiveness.
 //! 3. **Deferral**: ticks never preempt while preemption is disabled;
 //!    they are deferred and acted on at re-enable.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ult_core::tls::UltLocal;
@@ -19,56 +20,107 @@ use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
 
 const INTERVAL_NS: u64 = 2_000_000; // 2 ms ticks → 20 ms latency bound
 
-fn start(strategy: TimerStrategy, workers: usize) -> Runtime {
+fn start_at(interval_ns: u64, workers: usize) -> Runtime {
     Runtime::start(Config {
         num_workers: workers,
-        preempt_interval_ns: INTERVAL_NS,
-        timer_strategy: strategy,
+        preempt_interval_ns: interval_ns,
+        timer_strategy: TimerStrategy::PerWorkerAligned,
         ..Config::default()
     })
 }
 
-/// A sole spinner on a per-worker-timer runtime must have its tick elided:
-/// almost no timer signals over a full second that would otherwise carry
-/// ~500 of them.
-fn sole_spinner_is_elided(strategy: TimerStrategy) {
-    let rt = start(strategy, 1);
+fn start(workers: usize) -> Runtime {
+    start_at(INTERVAL_NS, workers)
+}
+
+/// One worker runs a spinner of `occupant` kind with `queued` SignalYield
+/// ULTs pushed behind it; over `window` (measured once the queue is in
+/// place) the worker must take at most `max_ticks` timer signals. With
+/// nothing queued the sole runnable has nothing to timeslice to; with a
+/// nonpreemptive occupant no tick could ever act — either way the tick is
+/// elided (a live one would deliver one signal per tick).
+fn occupied_worker_is_elided(
+    occupant: ThreadKind,
+    queued: usize,
+    interval_ns: u64,
+    window: Duration,
+    max_ticks: u64,
+) {
+    let rt = start_at(interval_ns, 1);
     let stop = Arc::new(AtomicBool::new(false));
+    let running = Arc::new(AtomicBool::new(false));
     let h = {
-        let stop = stop.clone();
-        rt.spawn_with(ThreadKind::SignalYield, Priority::High, move || {
+        let (stop, running) = (stop.clone(), running.clone());
+        rt.spawn_with(occupant, Priority::High, move || {
+            running.store(true, Ordering::Release);
             while !stop.load(Ordering::Acquire) {
                 core::hint::spin_loop();
             }
         })
     };
-    std::thread::sleep(Duration::from_millis(1000));
+    while !running.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let ran = Arc::new(AtomicUsize::new(0));
+    let behind: Vec<_> = (0..queued)
+        .map(|_| {
+            let ran = ran.clone();
+            rt.spawn_on(0, ThreadKind::SignalYield, Priority::High, move || {
+                ran.fetch_add(1, Ordering::AcqRel);
+            })
+        })
+        .collect();
+    let before = rt.stats();
+    std::thread::sleep(window);
+    let st = rt.stats();
+    let still_queued = ran.load(Ordering::Acquire) == 0;
     stop.store(true, Ordering::Release);
     h.join();
-    let st = rt.stats();
+    for b in behind {
+        b.join();
+    }
     rt.shutdown();
     assert!(st.tick_elisions >= 1, "worker never elided its tick");
+    if queued > 0 {
+        assert!(still_queued, "queued work ran past a {occupant:?} spinner");
+    }
+    let ticks = st.timer_ticks - before.timer_ticks;
     assert!(
-        st.timer_ticks <= 20,
-        "sole spinner took {} timer ticks in 1 s (expected ~0; non-elided would be ~500)",
-        st.timer_ticks
+        ticks <= max_ticks,
+        "{occupant:?} occupant with {queued} queued took {ticks} timer ticks in {window:?} \
+         (bound {max_ticks}; a live timer would deliver ~{})",
+        window.as_nanos() as u64 / interval_ns
     );
 }
 
 #[test]
-fn sole_spinner_elided_creation_time() {
-    sole_spinner_is_elided(TimerStrategy::PerWorkerCreationTime);
+fn sole_spinner_elided_aligned() {
+    occupied_worker_is_elided(
+        ThreadKind::SignalYield,
+        0,
+        INTERVAL_NS,
+        Duration::from_millis(1000),
+        20,
+    );
 }
 
+/// The property Fig. 9's in-situ analysis relies on: a nonpreemptive
+/// simulation thread with analysis work queued behind it is never ticked.
 #[test]
-fn sole_spinner_elided_aligned() {
-    sole_spinner_is_elided(TimerStrategy::PerWorkerAligned);
+fn nonpreemptive_occupant_with_queued_work_elided() {
+    occupied_worker_is_elided(
+        ThreadKind::Nonpreemptive,
+        2,
+        1_000_000,
+        Duration::from_millis(200),
+        3,
+    );
 }
 
 /// Workers with no work at all park with their timers disarmed.
 #[test]
 fn parked_workers_take_no_ticks() {
-    let rt = start(TimerStrategy::PerWorkerAligned, 2);
+    let rt = start(2);
     std::thread::sleep(Duration::from_millis(1000));
     let st = rt.stats();
     rt.shutdown();
@@ -81,9 +133,10 @@ fn parked_workers_take_no_ticks() {
 
 /// Once a second ULT arrives on a busy (elided) worker, preemption must
 /// fire within 10× the tick interval — the re-arm edge of the elision
-/// state machine, under every strategy.
-fn second_ult_preempted_within_bound(strategy: TimerStrategy) {
-    let rt = start(strategy, 1);
+/// state machine.
+#[test]
+fn preempts_within_bound_aligned() {
+    let rt = start(1);
     let stop = Arc::new(AtomicBool::new(false));
     let spinner = {
         let stop = stop.clone();
@@ -112,39 +165,20 @@ fn second_ult_preempted_within_bound(strategy: TimerStrategy) {
     let lat = latency_ns.load(Ordering::Acquire);
     assert!(
         lat <= 10 * INTERVAL_NS,
-        "{strategy:?}: second ULT waited {:.1} ms behind the spinner \
+        "second ULT waited {:.1} ms behind the spinner \
          (bound: {:.1} ms = 10 ticks)",
         lat as f64 / 1e6,
         (10 * INTERVAL_NS) as f64 / 1e6
     );
 }
 
-#[test]
-fn preempts_within_bound_creation_time() {
-    second_ult_preempted_within_bound(TimerStrategy::PerWorkerCreationTime);
-}
-
-#[test]
-fn preempts_within_bound_aligned() {
-    second_ult_preempted_within_bound(TimerStrategy::PerWorkerAligned);
-}
-
-#[test]
-fn preempts_within_bound_one_to_all() {
-    second_ult_preempted_within_bound(TimerStrategy::PerProcessOneToAll);
-}
-
-#[test]
-fn preempts_within_bound_chain() {
-    second_ult_preempted_within_bound(TimerStrategy::PerProcessChain);
-}
-
 /// The same edge from the inside: the sole, elided spinner spawns the
 /// second ULT itself — onto its own worker, from its own context — and keeps
 /// spinning. Nobody else will ever touch that worker's tick, so the push
 /// must re-arm it for the (preemptive) spawner right there.
-fn self_spawned_child_preempts_its_parent(strategy: TimerStrategy) {
-    let rt = start(strategy, 1);
+#[test]
+fn self_spawn_preempts_within_bound_aligned() {
+    let rt = start(1);
     let go = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let latency_ns = Arc::new(AtomicU64::new(0));
@@ -179,31 +213,11 @@ fn self_spawned_child_preempts_its_parent(strategy: TimerStrategy) {
     let lat = latency_ns.load(Ordering::Acquire);
     assert!(
         lat <= 10 * INTERVAL_NS,
-        "{strategy:?}: self-spawned ULT waited {:.1} ms behind its spinning parent \
+        "self-spawned ULT waited {:.1} ms behind its spinning parent \
          (bound: {:.1} ms = 10 ticks)",
         lat as f64 / 1e6,
         (10 * INTERVAL_NS) as f64 / 1e6
     );
-}
-
-#[test]
-fn self_spawn_preempts_within_bound_creation_time() {
-    self_spawned_child_preempts_its_parent(TimerStrategy::PerWorkerCreationTime);
-}
-
-#[test]
-fn self_spawn_preempts_within_bound_aligned() {
-    self_spawned_child_preempts_its_parent(TimerStrategy::PerWorkerAligned);
-}
-
-#[test]
-fn self_spawn_preempts_within_bound_one_to_all() {
-    self_spawned_child_preempts_its_parent(TimerStrategy::PerProcessOneToAll);
-}
-
-#[test]
-fn self_spawn_preempts_within_bound_chain() {
-    self_spawned_child_preempts_its_parent(TimerStrategy::PerProcessChain);
 }
 
 /// Preemption never fires while preemption is disabled: a ULT spinning
@@ -214,7 +228,7 @@ fn self_spawn_preempts_within_bound_chain() {
 #[test]
 fn no_preemption_while_disabled() {
     static SLOT: UltLocal<u64> = UltLocal::new(|| 0);
-    let rt = start(TimerStrategy::PerWorkerAligned, 1);
+    let rt = start(1);
     let in_critical = Arc::new(AtomicBool::new(false));
     let violated = Arc::new(AtomicBool::new(false));
 

@@ -10,13 +10,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use ult_core::{Config, KltParkMode, KltPoolPolicy, Priority, Runtime, ThreadKind, TimerStrategy};
+use ult_core::{Config, Priority, Runtime, ThreadKind, TimerStrategy};
 
-fn preemptive_cfg(workers: usize, interval_us: u64, strategy: TimerStrategy) -> Config {
+fn preemptive_cfg(workers: usize, interval_us: u64) -> Config {
     Config {
         num_workers: workers,
         preempt_interval_ns: interval_us * 1000,
-        timer_strategy: strategy,
+        timer_strategy: TimerStrategy::PerWorkerAligned,
         stat_samples: 4096,
         ..Config::default()
     }
@@ -59,7 +59,7 @@ fn busy_wait_n(rt: &Runtime, kind: ThreadKind, n_spinners: usize) {
 
 #[test]
 fn signal_yield_breaks_busy_wait_deadlock() {
-    let rt = Runtime::start(preemptive_cfg(1, 1000, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 1000));
     busy_wait_pair(&rt, ThreadKind::SignalYield);
     let stats = rt.stats();
     assert!(stats.preemptions >= 1, "no preemption happened: {stats:?}");
@@ -68,7 +68,7 @@ fn signal_yield_breaks_busy_wait_deadlock() {
 
 #[test]
 fn klt_switching_breaks_busy_wait_deadlock() {
-    let rt = Runtime::start(preemptive_cfg(1, 1000, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 1000));
     busy_wait_pair(&rt, ThreadKind::KltSwitching);
     let stats = rt.stats();
     assert!(stats.klt_switches >= 1, "no KLT switch happened: {stats:?}");
@@ -76,62 +76,10 @@ fn klt_switching_breaks_busy_wait_deadlock() {
 }
 
 #[test]
-fn klt_switching_with_global_pool_only() {
-    let rt = Runtime::start(Config {
-        klt_pool_policy: KltPoolPolicy::GlobalOnly,
-        ..preemptive_cfg(1, 1000, TimerStrategy::PerWorkerAligned)
-    });
-    busy_wait_pair(&rt, ThreadKind::KltSwitching);
-    assert!(rt.stats().klt_switches >= 1);
-    rt.shutdown();
-}
-
-#[test]
-fn klt_switching_with_sigsuspend_style_park() {
-    let rt = Runtime::start(Config {
-        klt_park_mode: KltParkMode::SigsuspendStyle,
-        ..preemptive_cfg(1, 1000, TimerStrategy::PerWorkerAligned)
-    });
-    busy_wait_pair(&rt, ThreadKind::KltSwitching);
-    assert!(rt.stats().klt_switches >= 1);
-    rt.shutdown();
-}
-
-#[test]
-fn per_worker_creation_time_strategy() {
-    let rt = Runtime::start(preemptive_cfg(
-        2,
-        1000,
-        TimerStrategy::PerWorkerCreationTime,
-    ));
-    busy_wait_n(&rt, ThreadKind::SignalYield, 2);
-    assert!(rt.stats().preemptions >= 1);
-    rt.shutdown();
-}
-
-#[test]
-fn per_process_one_to_all_strategy() {
-    let rt = Runtime::start(preemptive_cfg(2, 1000, TimerStrategy::PerProcessOneToAll));
-    busy_wait_n(&rt, ThreadKind::SignalYield, 2);
-    assert!(rt.stats().preemptions >= 1);
-    rt.shutdown();
-}
-
-#[test]
-fn per_process_chain_strategy() {
-    // Both workers occupied by spinners: the chain must reach worker 1
-    // (rank > leader) and the leader must preempt itself.
-    let rt = Runtime::start(preemptive_cfg(2, 1000, TimerStrategy::PerProcessChain));
-    busy_wait_n(&rt, ThreadKind::SignalYield, 2);
-    assert!(rt.stats().preemptions >= 1);
-    rt.shutdown();
-}
-
-#[test]
 fn nonpreemptive_threads_are_never_preempted() {
     // Nonpreemptive thread runs a finite spin; with timers armed it must
     // never be counted as preempted.
-    let rt = Runtime::start(preemptive_cfg(1, 500, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 500));
     let h = rt.spawn_with(ThreadKind::Nonpreemptive, Priority::High, || {
         let end = std::time::Instant::now() + std::time::Duration::from_millis(30);
         while std::time::Instant::now() < end {
@@ -148,7 +96,7 @@ fn nonpreemptive_threads_are_never_preempted() {
 fn many_preemptions_on_long_spin() {
     // One long-running signal-yield thread accumulates many preemptions
     // while a second thread makes progress in the gaps.
-    let rt = Runtime::start(preemptive_cfg(1, 500, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 500));
     let progress = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let s1 = stop.clone();
@@ -180,7 +128,7 @@ fn klt_switching_preserves_kernel_tid() {
     // The defining property (paper §3.1.2): after a KLT-switching
     // preemption the thread resumes on the SAME kernel thread, so
     // KLT-local state (here: the kernel tid itself) is unchanged.
-    let rt = Runtime::start(preemptive_cfg(1, 500, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 500));
     let flag = Arc::new(AtomicBool::new(false));
     let tid_stable = Arc::new(AtomicBool::new(true));
     let f1 = flag.clone();
@@ -219,7 +167,7 @@ fn signal_yield_can_migrate_kernel_tid() {
     // workers and stealing, migration is possible — we merely check the
     // runtime doesn't crash and work completes; migration itself is
     // scheduling-dependent.
-    let rt = Runtime::start(preemptive_cfg(2, 500, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(2, 500));
     let flag = Arc::new(AtomicBool::new(false));
     let migrations = Arc::new(AtomicUsize::new(0));
     let f1 = flag.clone();
@@ -247,11 +195,7 @@ fn preemption_interval_controls_rate() {
     // Halving the interval should roughly double preemption count over the
     // same wall time. We assert only a loose monotonic relation (CI noise).
     let count_preemptions = |interval_us: u64| {
-        let rt = Runtime::start(preemptive_cfg(
-            1,
-            interval_us,
-            TimerStrategy::PerWorkerAligned,
-        ));
+        let rt = Runtime::start(preemptive_cfg(1, interval_us));
         let stop = Arc::new(AtomicBool::new(false));
         // Two spinners: a sole runnable would have its tick elided (nothing
         // to timeslice to); sustained preemption needs contention.
@@ -286,7 +230,7 @@ fn preemption_interval_controls_rate() {
 fn echo_suppression_counts() {
     // With a very aggressive timer the echo filter must be exercised
     // without breaking forward progress.
-    let rt = Runtime::start(preemptive_cfg(1, 200, TimerStrategy::PerWorkerAligned));
+    let rt = Runtime::start(preemptive_cfg(1, 200));
     let sum = Arc::new(AtomicU64::new(0));
     let s = sum.clone();
     let h = rt.spawn_with(ThreadKind::SignalYield, Priority::High, move || {

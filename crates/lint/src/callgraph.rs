@@ -17,7 +17,7 @@
 //! * workspace `macro_rules!` bodies are traversed like callees, so a
 //!   macro-wrapped `Box::new` on the handler path is flagged;
 //! * every finding carries the full call path from its handler root
-//!   (`preempt_handler → forward_chain → raw_handle`), so a transitive
+//!   (`preempt_handler → rearm_from_handler → raw_handle`), so a transitive
 //!   violation is attributable without re-deriving the graph by hand.
 //!
 //! Unannotated definitions in *other* crates are not traversed: name

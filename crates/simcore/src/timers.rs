@@ -7,8 +7,9 @@
 
 use crate::signal::{KernelParams, SignalSim};
 
-/// The four coordination strategies of paper §3.2 (simulation mirror of
-/// `ult_core::TimerStrategy`).
+/// The four coordination strategies of paper §3.2. The runtime ships only
+/// `PerWorkerAligned` (`ult_core::TimerStrategy`); the other three exist
+/// here alone, to draw Figure 4's series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimStrategy {
     /// One timer per worker, identical phases ("Per-worker (creation-time)").

@@ -8,8 +8,9 @@
 //!
 //! [`Futex`] is a minimal one-word parking primitive with two observable
 //! states per generation: parked and released. It also supports the
-//! "sigsuspend-style" slow path ([`Futex::wait_sigsuspend_style`]) used to
-//! quantify the unoptimized variant in Figure 6.
+//! "sigsuspend-style" slow path ([`Futex::wait_sigsuspend_style`]) that
+//! Figure 6's runtime-free park/resume round trip measures against it; the
+//! runtime itself only ever parks on the futex.
 
 use core::sync::atomic::{AtomicU32, Ordering};
 
@@ -158,33 +159,34 @@ impl Futex {
     }
 
     /// Park via the portable-but-slow route the paper's unoptimized
-    /// KLT-switching uses (§3.3.1): spin-then-`sigsuspend`-like wait that
-    /// costs an extra signal round trip. We model it faithfully as a
-    /// `sigtimedwait`-paced poll: each poll round blocks in the kernel
-    /// waiting for (and consuming) a wake signal rather than a futex wake.
+    /// KLT-switching uses (§3.3.1): a `sigsuspend`-like wait that costs a
+    /// signal round trip per resume. Modelled as `sigtimedwait`: every wait
+    /// blocks in the kernel for (and consumes) one wake signal — the one
+    /// [`Futex::unpark_with_signal`] sends with each token — before it
+    /// takes the token, so waits and signals stay paired one to one.
     ///
-    /// `wake_sig` must be a signal number reserved for this purpose and the
-    /// releaser must pair it with [`Futex::unpark_with_signal`].
+    /// `wake_sig` must be a signal number reserved for this purpose and
+    /// blocked in the waiting thread, so it queues for `sigtimedwait`
+    /// instead of being discarded or run.
     // sigsafe
     // blocking: klt
     pub fn wait_sigsuspend_style(&self, wake_sig: i32) {
+        // SAFETY: sigset_t is a plain bitmask; all-zeroes is a valid empty set.
+        let mut set: libc::sigset_t = unsafe { core::mem::zeroed() };
+        // SAFETY: `set` is a valid out-pointer for sigemptyset/sigaddset.
+        unsafe {
+            libc::sigemptyset(&mut set);
+            libc::sigaddset(&mut set, wake_sig);
+        }
+        let ts = libc::timespec {
+            tv_sec: 0,
+            tv_nsec: 1_000_000, // 1 ms guard: a lost signal cannot hang the waiter
+        };
         loop {
+            // SAFETY: `set` and `ts` are valid for the call; no siginfo wanted.
+            unsafe { libc::sigtimedwait(&set, core::ptr::null_mut(), &ts) };
             if self.try_park() {
                 return;
-            }
-            // Wait for the wake signal with a coarse timeout so a lost
-            // signal cannot hang the KLT forever.
-            // SAFETY: sigset_t is a plain bitmask; all-zeroes is a valid empty set.
-            let mut set: libc::sigset_t = unsafe { core::mem::zeroed() };
-            // SAFETY: `set` is a valid out-pointer for sigemptyset/sigaddset/sigtimedwait.
-            unsafe {
-                libc::sigemptyset(&mut set);
-                libc::sigaddset(&mut set, wake_sig);
-                let ts = libc::timespec {
-                    tv_sec: 0,
-                    tv_nsec: 1_000_000, // 1 ms poll guard
-                };
-                libc::sigtimedwait(&set, core::ptr::null_mut(), &ts);
             }
         }
     }

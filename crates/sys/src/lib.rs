@@ -4,8 +4,8 @@
 //! preemption techniques of the paper are built from:
 //!
 //! * [`signal`] — `sigaction` installation, per-thread signal masks, and
-//!   directed delivery via `tgkill` (the transport of both the per-process
-//!   one-to-all and chained timers, paper §3.2.2).
+//!   directed delivery via `tgkill` (the tick-elision nudge and the
+//!   reactor watcher's kick).
 //! * [`timer`] — POSIX interval timers (`timer_create`) with Linux's
 //!   `SIGEV_THREAD_ID` extension for per-worker timers (paper §3.2.1).
 //! * [`futex`] — 32-bit futex wait/wake, the async-signal-safe KLT

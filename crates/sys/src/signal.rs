@@ -10,8 +10,8 @@
 //! * [`unblock_signal`] — called *inside* the handler right before the
 //!   context switch so that further preemptions can nest on the same worker
 //!   (paper §3.1.1);
-//! * [`send_signal`] — `tgkill` directed delivery, used by per-process
-//!   timers to forward ticks to other workers (paper §3.2.2).
+//! * [`send_signal`] — `tgkill` directed delivery, used to nudge an
+//!   elided worker's timer back on and by the reactor watcher's kick.
 
 use crate::tid::Tid;
 use std::io;
@@ -27,7 +27,8 @@ pub fn preempt_signum() -> i32 {
     libc::SIGRTMIN()
 }
 
-/// A second RT signal used by the sigsuspend-style (unoptimized) KLT park.
+/// A second RT signal used by the sigsuspend-style (unoptimized) park that
+/// Figure 6's runtime-free round trip measures against the futex.
 // sigsafe
 pub fn wake_signum() -> i32 {
     libc::SIGRTMIN() + 1

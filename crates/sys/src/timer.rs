@@ -3,8 +3,7 @@
 //! Per-worker preemption timers (paper §3.2.1) need "send this signal to
 //! *that* thread every T microseconds". POSIX `timer_create` only addresses
 //! the process; Linux's `SIGEV_THREAD_ID` extension addresses a tid — the
-//! paper calls out exactly this portability caveat. Per-process timers
-//! (paper §3.2.2) use one ordinary process-directed timer instead.
+//! paper calls out exactly this portability caveat.
 //!
 //! [`IntervalTimer`] also supports a **phase offset** before the first
 //! expiration — the mechanism behind the paper's "timer alignment"
@@ -38,26 +37,6 @@ impl IntervalTimer {
             sev.sigev_notify = libc::SIGEV_THREAD_ID;
             sev.sigev_signo = signum;
             sev.sigev_notify_thread_id = tid;
-            let mut timer: libc::timer_t = ptr::null_mut();
-            if libc::timer_create(libc::CLOCK_MONOTONIC, &mut sev, &mut timer) != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            timer
-        };
-        let t = IntervalTimer { timer, interval_ns };
-        t.arm(interval_ns, phase_ns)?;
-        Ok(t)
-    }
-
-    /// Create a process-directed timer (`SIGEV_SIGNAL`): the kernel picks an
-    /// eligible thread; the runtime routes by masking the signal everywhere
-    /// except the leader worker (per-process timers, paper §3.2.2).
-    pub fn per_process(signum: i32, interval_ns: u64, phase_ns: u64) -> io::Result<Self> {
-        // SAFETY: as above with SIGEV_SIGNAL.
-        let timer = unsafe {
-            let mut sev: libc::sigevent = MaybeUninit::zeroed().assume_init();
-            sev.sigev_notify = libc::SIGEV_SIGNAL;
-            sev.sigev_signo = signum;
             let mut timer: libc::timer_t = ptr::null_mut();
             if libc::timer_create(libc::CLOCK_MONOTONIC, &mut sev, &mut timer) != 0 {
                 return Err(io::Error::last_os_error());
@@ -285,20 +264,6 @@ mod tests {
                 prev = p;
             }
         }
-    }
-
-    #[test]
-    fn per_process_timer_ticks() {
-        let _serial = serial();
-        install_handler(test_sig(), tick_handler).unwrap();
-        let before = TICKS.load(Ordering::SeqCst);
-        let t = IntervalTimer::per_process(test_sig(), 1_000_000, 0).unwrap();
-        let start = std::time::Instant::now();
-        while TICKS.load(Ordering::SeqCst) < before + 5 {
-            assert!(start.elapsed().as_secs() < 5, "process timer never ticked");
-            std::hint::spin_loop();
-        }
-        drop(t);
     }
 
     #[test]

@@ -15,11 +15,11 @@ fn main() {
     let rt = Arc::new(Runtime::start(Config {
         num_workers: workers,
         preempt_interval_ns: 1_000_000,
-        timer_strategy: TimerStrategy::PerProcessChain,
+        timer_strategy: TimerStrategy::PerWorkerAligned,
         sched_policy: SchedPolicy::Priority,
         ..Config::default()
     }));
-    println!("runtime: {workers} workers, priority scheduler, per-process chained 1 ms timer");
+    println!("runtime: {workers} workers, priority scheduler, aligned per-worker 1 ms timers");
 
     let rtc = rt.clone();
     let t0 = Instant::now();
@@ -71,6 +71,7 @@ fn main() {
         "analysis threads were preempted {} times to make way for simulation work",
         stats.preemptions
     );
+    drop(rtc);
     match Arc::try_unwrap(rt) {
         Ok(rt) => rt.shutdown(),
         Err(_) => unreachable!(),

@@ -26,7 +26,7 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
-echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path and ult-io, 20x, one CPU and all"
+echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path, the timers and ult-io, 20x, one CPU and all"
 # All are races by nature (a tick inside a few-instruction window; a kick
 # racing a dispatch; a push racing the owner's park), and the one-CPU
 # interleavings differ from the rest.
@@ -44,6 +44,9 @@ for pin in "taskset -c 0" ""; do
         # cannot preempt, and a preemptive spawner still gets its tick.
         $pin cargo test -q -p ult-core --test ready_path
         $pin cargo test -q -p ult-core --test preempt_latency self_spawn
+        # Timer re-targeting across KLT-switch rebinds, and a worker whose
+        # timer_create fails running on without ticks.
+        $pin cargo test -q -p ult-core --test timers
         # The run-next slot an McsMutex grant fills: picked first under
         # every policy, never stranded on a packing-suspended worker, never
         # a priority inversion.
@@ -91,8 +94,6 @@ run table1_direct       # Table 1
 run fig7_chol           # Figure 7
 run fig8_hpgmg          # Figure 8
 run fig9_md             # Figure 9
-run ablation_timer      # §3.2 ablation
-run ablation_klt        # §3.3 ablation
 run bench_echo          # echo p99, preemption on vs off (exit 1 below 5x)
 run bench_adaptive      # adaptive quantum vs fixed tick (exit 1 below 2x p99 or above 1.10x completion)
 

@@ -267,7 +267,7 @@ fn priority_scheduler_prefers_high_priority_work() {
     let rt = Runtime::start(Config {
         num_workers: 1,
         preempt_interval_ns: 1_000_000,
-        timer_strategy: TimerStrategy::PerProcessChain,
+        timer_strategy: TimerStrategy::PerWorkerAligned,
         sched_policy: SchedPolicy::Priority,
         ..Config::default()
     });
@@ -339,7 +339,7 @@ fn md_simulation_with_insitu_analysis_on_runtime() {
     let rt = Arc::new(Runtime::start(Config {
         num_workers: 2,
         preempt_interval_ns: 1_000_000,
-        timer_strategy: TimerStrategy::PerProcessChain,
+        timer_strategy: TimerStrategy::PerWorkerAligned,
         sched_policy: SchedPolicy::Priority,
         ..Config::default()
     }));
