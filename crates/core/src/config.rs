@@ -1,6 +1,14 @@
 //! Runtime configuration.
 
-use crate::preempt::timer::TimerStrategy;
+/// Whether timers drive preemption (paper §3.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimerStrategy {
+    /// No implicit preemption (traditional nonpreemptive M:N threads). The
+    /// handler stays installed, so a raised tick is still handled.
+    None,
+    /// One timer per worker with aligned (staggered) phases (Fig. 5a).
+    PerWorkerAligned,
+}
 
 /// Scheduling policy selection (paper §4.1–§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -87,20 +87,25 @@ pub mod ev {
     /// Handler acquired a replacement KLT (ult=thread, aux=new klt).
     pub const KSGRAB: u64 = 15;
     /// Tick-elision state machine transition (ult=site id, aux=worker
-    /// rank). Sites: 1 = elide at `try_elide`, 2 = `try_elide` Dekker
-    /// abort (work raced in), 3 = `try_elide` post-disarm handler repair,
-    /// 4 = dispatch-time rearm, 5 = nonpreemptive-occupant elide, 6 =
-    /// handler-side rearm, 7 = self-push rearm, 8 = remote nudge sent.
-    /// These are low-frequency state changes (not per-tick) and made the
-    /// elided-flag/disarmed-timer divergence diagnosable from the ring.
+    /// rank). Sites (`preempt::tick::site`): 1 = elide at `try_elide`, 2 =
+    /// `try_elide` Dekker abort (work raced in), 3 = `try_elide`
+    /// post-disarm handler repair, 4 = dispatch-time rearm, 5 =
+    /// nonpreemptive-occupant elide, 6 = handler-side rearm, 7 = self-push
+    /// rearm, 8 = remote nudge sent. These are low-frequency state changes
+    /// (not per-tick) and made the elided-flag/disarmed-timer divergence
+    /// diagnosable from the ring.
     pub const TICKOP: u64 = 16;
-    /// Readiness-driven preemption (ult=site id, aux=worker rank). Sites:
-    /// 1 = watcher signalled the worker, 2 = watcher sent nothing (worker
-    /// parked in its shard or nothing preemptible running), 3 = the
-    /// handler acted on the kick, 4 = the scheduler's forced poll consumed
-    /// it. A request that waited for the tick shows as a missing 1 (shard
-    /// not watched) or a 1 without its 3 (signal lost or deferred).
+    /// Readiness-driven preemption (ult=site id, aux=worker rank). Sites
+    /// (`preempt::tick::kick`): 1 = watcher signalled the worker, 2 =
+    /// watcher sent nothing (worker parked in its shard or nothing
+    /// preemptible running), 3 = the handler acted on the kick, 4 = the
+    /// scheduler's forced poll consumed it. A request that waited for the
+    /// tick shows as a missing 1 (shard not watched) or a 1 without its 3
+    /// (signal lost or deferred).
     pub const IOKICK: u64 = 17;
+    /// A KLT's home loop handed its worker to a captive KLT and woke it
+    /// (ult=captive klt id, aux=releasing klt id).
+    pub const WAKE_CAPTIVE: u64 = 18;
 }
 
 const EN: usize = 4096;

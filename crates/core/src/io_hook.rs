@@ -46,9 +46,9 @@
 //! readiness does not wait for the tick, every dispatch that keeps the tick
 //! armed over a shard with waiters also calls [`IoHooks::watch`]: the
 //! reactor's watcher thread then sleeps on the shard's epoll fd and answers
-//! readiness with [`io_kick`] — the ordinary preemption signal, marked
-//! (`Worker::io_kick`) so that the handler treats it as due and the next
-//! `maybe_poll` ignores its rate limit. The watcher is not a runtime thread
+//! readiness with [`io_kick`] — the ordinary preemption signal, marked (the
+//! kick word of `preempt::tick`) so that the handler treats it as due and
+//! the next `maybe_poll` ignores its rate limit. The watcher is not a runtime thread
 //! and outlives every runtime; [`io_kick`] resolves its target through the
 //! table of live runtimes and holds that table's lock while it signals, so
 //! a runtime that has left the table is never signalled again.
@@ -160,11 +160,7 @@ fn hooks() -> Option<&'static IoHooks> {
 #[inline]
 pub(crate) fn maybe_poll(w: &Worker) {
     if let Some(h) = hooks() {
-        let kicked = w.io_kick.load(Ordering::Acquire) && w.io_kick.swap(false, Ordering::AcqRel);
-        if kicked {
-            crate::debug_registry::event(crate::debug_registry::ev::IOKICK, 4, w.rank as u64);
-        }
-        (h.poll)(w.rank, kicked);
+        (h.poll)(w.rank, crate::preempt::tick::take_io_kick(w));
     }
 }
 
@@ -201,7 +197,7 @@ pub fn io_kick(owner: u64) -> bool {
     let rank = (owner & ((1 << OWNER_RANK_BITS) - 1)) as usize;
     rt.workers
         .get(rank)
-        .is_some_and(|w| crate::preempt::io_kick(w))
+        .is_some_and(|w| crate::preempt::tick::io_kick(w))
 }
 
 /// Reactor stats for shard `r`, if a reactor is registered.
@@ -290,7 +286,7 @@ pub fn kick_worker(r: usize) {
             // its shard and hands it to the watcher — keep happening;
             // without this the waiter just armed could go unserviced
             // indefinitely.
-            crate::sched::rearm_on_push(me.runtime(), w, false);
+            crate::preempt::tick::on_push(me.runtime(), w, false);
         }
     }
 }

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use ult_arch::Context;
 use ult_sys::futex::Futex;
 use ult_sys::tid::{gettid, Tid};
+use ult_sys::timer::IntervalTimer;
 
 thread_local! {
     /// The KLT descriptor of the calling OS thread (null outside runtime
@@ -114,6 +115,10 @@ pub(crate) struct Klt {
     pub release_to: AtomicUsize, // ordering: acqrel
     /// Shutdown flag for the home loop.
     pub shutdown: AtomicBool, // ordering: acqrel
+    /// This KLT's preemption timer (`SIGEV_THREAD_ID` at itself), owned by
+    /// its home-loop frame; null without one (see `preempt::tick`).
+    // ordering: acqrel published by the KLT before it is offered to a pool or worker, cleared before it deletes the timer at exit
+    timer: AtomicPtr<IntervalTimer>,
 }
 
 // SAFETY: all mutable state is atomic or confined by the home-loop protocol
@@ -136,7 +141,27 @@ impl Klt {
             directive_klt: AtomicPtr::new(std::ptr::null_mut()),
             release_to: AtomicUsize::new(usize::MAX),
             shutdown: AtomicBool::new(false),
+            timer: AtomicPtr::new(std::ptr::null_mut()),
         })
+    }
+
+    /// Publish (or, with `None`, withdraw) this KLT's timer. Called by the
+    /// KLT itself: before it is offered to a pool or worker, and before it
+    /// deletes the timer at exit.
+    pub(crate) fn set_timer(&self, timer: Option<&IntervalTimer>) {
+        let p = timer.map_or(std::ptr::null(), |t| t as *const IntervalTimer);
+        self.timer.store(p as *mut IntervalTimer, Ordering::Release);
+    }
+
+    /// This KLT's timer, if it has one.
+    #[inline]
+    // sigsafe
+    pub(crate) fn timer(&self) -> Option<&IntervalTimer> {
+        // SAFETY: the timer lives in the KLT's home-loop frame until the
+        // thread exits and is withdrawn first. KLTs exit at shutdown only,
+        // once every ULT has finished and the reactor's watcher has lost
+        // the runtime, so no context still reaches for a withdrawn timer.
+        unsafe { self.timer.load(Ordering::Acquire).as_ref() }
     }
 
     /// The kernel tid (0 until the thread has started).

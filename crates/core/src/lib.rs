@@ -26,10 +26,13 @@
 //!
 //! All three kinds coexist in one runtime (paper §3.4). Preemption ticks
 //! come from one timer per worker with phases staggered across workers
-//! ([`TimerStrategy::PerWorkerAligned`], the paper's §3.2 winner); a
-//! KLT-switching park is a futex wait and replacement KLTs come from a
-//! worker-local pool first (§3.3). The paper's other timer strategies are
-//! modelled in `ult-simcore` only.
+//! ([`TimerStrategy::PerWorkerAligned`], the paper's §3.2 winner). The
+//! timer is that of the KLT embodying the worker: every KLT owns one for
+//! life, armed while it embodies a worker, so a KLT switch hands the tick
+//! over without creating or deleting a timer. A KLT-switching park is a
+//! futex wait and replacement KLTs come from a worker-local pool first
+//! (§3.3). The paper's other timer strategies are modelled in
+//! `ult-simcore` only.
 //!
 //! ## Quick start
 //!
@@ -69,11 +72,10 @@ pub use api::{
     current_worker_rank, in_ult, make_ready, preempt_disable, preempt_enable, yield_now, yield_to,
     SpawnAttrs,
 };
-pub use config::{Config, SchedPolicy};
+pub use config::{Config, SchedPolicy, TimerStrategy};
 pub use io_hook::{
     io_kick, kick_worker, reactor_wait_done, register_io_hooks, IoHooks, IoShardStats,
 };
-pub use preempt::timer::TimerStrategy;
 pub use runtime::Runtime;
 pub use stats::RuntimeStats;
 pub use thread::{JoinHandle, Priority, SchedClass, ThreadKind, Ult, UltState};

@@ -1,6 +1,7 @@
 //! Implicit preemption: the signal handler implementing signal-yield
-//! (paper §3.1.1) and KLT-switching (paper §3.1.2), plus the aligned
-//! per-worker timers (§3.2) in [`timer`].
+//! (paper §3.1.1) and KLT-switching (paper §3.1.2), plus the tick that
+//! drives it (§3.2's aligned timers, tick elision, the filters) in
+//! `tick`.
 //!
 //! # The preemption fast path
 //!
@@ -12,24 +13,25 @@
 //!    flag drops it (one thread-local read).
 //! 2. **Embodiment check** — stale ticks aimed at a KLT that no longer
 //!    embodies its worker are dropped.
-//! 3. **Handler self-filtering** — a cached per-worker deadline compared
-//!    against `CLOCK_MONOTONIC_COARSE` (vDSO cached timestamp: a couple of
-//!    loads, no syscall, no `rdtsc`) bounces definitely-early ticks without
-//!    reading the precise clock or touching scheduler state.
+//! 3. **Handler self-filtering** (`tick::handler_entry`) — a cached
+//!    per-worker deadline compared against `CLOCK_MONOTONIC_COARSE` (vDSO
+//!    cached timestamp: a couple of loads, no syscall, no `rdtsc`) bounces
+//!    definitely-early ticks without reading the precise clock or touching
+//!    scheduler state.
 //! 4. **The preemption itself** — signal-yield switches away with the
 //!    minimal preemptive switch ([`ult_arch::Context::switch_preempt`]),
 //!    reusing the signal frame's kernel-saved register image instead of
 //!    saving a second register set, and resuming via `rt_sigreturn`.
 //!
 //! Workers with ≤1 runnable ULT have their timers elided entirely (see
-//! [`crate::worker`]'s tick-elision state machine), so idle and single-ULT
-//! workers take **zero** signals rather than cheap ones.
+//! `tick`'s state machine), so idle and single-ULT workers take **zero**
+//! signals rather than cheap ones.
 //!
 //! # Async-signal-safety inventory
 //!
 //! Everything reachable from [`preempt_handler`] is restricted to: atomics,
 //! futex wait/wake, `tgkill`, `clock_gettime` (precise and coarse),
-//! `timer_settime`/`timer_getoverrun` on published raw handles,
+//! `timer_settime`/`timer_getoverrun` on a KLT's own lifelong timer,
 //! spinlock-guarded pops of pre-allocated structures (the KLT pool), the
 //! ready-pool publish, and the context switch itself. The ready-pool publish
 //! is the Chase–Lev owner push — one slot store plus one release store of
@@ -38,12 +40,12 @@
 //! swaps in a buffer pre-staged by spawn-side `reserve()` (see `pool.rs`).
 //! In particular there is **no** allocation (the interrupted frame may be
 //! inside `malloc` — the exact KLT-dependence hazard the paper describes),
-//! no `timer_create` (not on the POSIX safe list; handlers only re-arm
-//! published handles) and no parking-lot locks (their lazy thread data
+//! no `timer_create` (not on the POSIX safe list; KLTs create their timers
+//! when they start) and no parking-lot locks (their lazy thread data
 //! allocates). The closure is checked statically by `ult-lint` (`// sigsafe`
 //! annotations) and dynamically by the debug allocator guard (`sigsafe.rs`).
 
-pub mod timer;
+pub(crate) mod tick;
 
 use crate::klt::{current_klt, Klt};
 use crate::runtime::RuntimeInner;
@@ -52,8 +54,7 @@ use crate::worker::{SwitchReason, Worker};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use ult_arch::Context;
-use ult_sys::clock::{now_coarse_ns, now_ns};
-use ult_sys::signal::send_signal;
+use ult_sys::clock::now_ns;
 
 /// The preemption tick signal.
 // sigsafe
@@ -109,82 +110,21 @@ pub(crate) extern "C" fn preempt_handler(
     let w: &Worker = unsafe { &*wp };
     let rt = w.runtime();
     // Stale-tick guard: only the KLT currently embodying the worker may
-    // preempt it (a captive KLT keeps receiving old per-worker timer ticks
-    // until the scheduler rebinds the timer).
+    // preempt it (a tick sent before a KLT switch can land on the captive).
     if !std::ptr::eq(w.current_klt.load(Ordering::Acquire), klt) {
         w.stats.stale_ticks.fetch_add(1, Ordering::Relaxed);
         return;
     }
     w.stats.timer_ticks.fetch_add(1, Ordering::Relaxed);
-
-    // Elided-timer nudge: a pusher saw this worker elided and queued work
-    // for it; re-arm the periodic timer from the safety of the owner KLT
-    // (see `rearm_from_handler`).
-    if w.tick_elided.load(Ordering::SeqCst) {
-        w.rearm_from_handler(rt);
-    }
-
-    // Handler self-filtering: a definitely-early tick (echo of a fresh
-    // timeslice, pre-deadline nudge) bounces off the cached deadline with a
-    // coarse vDSO clock read — no syscall, no scheduler-state access. The
-    // coarse clock lags real time by at most its resolution; the slack
-    // (2× resolution, precomputed) makes the early verdict sound. Deadline
-    // 0 means the interval is too small for the coarse clock to judge and
-    // the precise echo filter in `maybe_preempt` decides alone.
-    // An I/O kick is never early; its sender cleared the deadline, but a
-    // dispatch in between may have published a new one.
-    let deadline = w.preempt_deadline_ns.load(Ordering::Acquire);
-    if deadline != 0
-        && !w.io_kick.load(Ordering::Acquire)
-        && now_coarse_ns().saturating_add(rt.coarse_slack_ns) < deadline
-    {
-        w.stats.filtered_ticks.fetch_add(1, Ordering::Relaxed);
+    // Re-arm an elided tick a pusher nudged, and drop a definitely-early
+    // tick (echo of a fresh timeslice, pre-deadline nudge) off the cached
+    // deadline.
+    if !tick::handler_entry(rt, w) {
         return;
     }
 
     let t_enter = now_ns();
     maybe_preempt(rt, w, klt, t_enter, uc);
-}
-
-/// The reactor watcher's preemption (`io_hook::io_kick`, which holds the
-/// lock that keeps `w`'s runtime alive): a fd of `w`'s shard is ready, so
-/// take the CPU from `w`'s occupant now instead of at the next tick. The
-/// flag and the cleared deadline are published before the signal, so the
-/// handler it runs finds the tick due. Returns whether a signal was sent.
-/// When none is — nothing preemptible is running, so the tick is elided or
-/// the worker is between ULTs — the flag still makes the worker's next
-/// `maybe_poll` ignore its rate limit; a worker parked in the shard's own
-/// `epoll_wait` is woken by the same readiness and needs neither.
-pub(crate) fn io_kick(w: &Worker) -> bool {
-    let sent = !w.reactor_park.load(Ordering::SeqCst) && {
-        w.io_kick.store(true, Ordering::Release);
-        w.preempt_deadline_ns.store(0, Ordering::Release);
-        try_send_tick(w)
-    };
-    crate::debug_registry::event(
-        crate::debug_registry::ev::IOKICK,
-        if sent { 1 } else { 2 },
-        w.rank as u64,
-    );
-    sent
-}
-
-/// Send a tick to `other`'s current KLT if its running thread is
-/// preemptive and its tick is not elided; returns whether one was sent.
-/// Reads only the `current_kind` mirror — never dereferences the remote
-/// `current` pointer (the remote thread may finish and be freed
-/// concurrently).
-fn try_send_tick(other: &Worker) -> bool {
-    if other.tick_elided.load(Ordering::SeqCst) || !other.stats.current_kind_preemptive() {
-        return false;
-    }
-    let kp = other.current_klt.load(Ordering::Acquire);
-    if kp.is_null() {
-        return false;
-    }
-    // SAFETY: KLTs are registry-kept for the runtime's life.
-    let tid = unsafe { &*kp }.tid();
-    tid != 0 && send_signal(tid, preempt_signum())
 }
 
 /// Decide and perform the preemption of the current ULT, if any.
@@ -207,41 +147,23 @@ fn maybe_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t_enter: u64, uc: *mu
     // SAFETY: a running ULT is kept alive by the scheduler's Arc binding.
     let t: &Ult = unsafe { &*cur };
 
-    // Echo suppression (precise): bursts of queued stale ticks (accumulated
-    // while a captive KLT had them pending) must not re-preempt
-    // immediately. The coarse filter upstream already dropped the bulk;
-    // this decides the ties inside the coarse clock's error band.
+    // Echo suppression (precise): the coarse filter upstream dropped the
+    // bulk of a stale burst; this decides the ties inside its error band.
     let now = t_enter;
-    let last = w.last_preempt_ns.load(Ordering::Acquire);
-    // Quantum-aware: with adaptive quanta a shrunk quantum must not have
-    // its floor ticks bounced by a filter sized for the base tick.
-    let interval = w.quantum_ns(rt).max(1);
-    // An I/O kick is due whenever it arrives: the reactor's watcher saw a
-    // fd of this worker's shard become ready, and the scheduler we switch
-    // to polls it first thing (`maybe_poll` consumes the flag). Over a
-    // Latency occupant the kick counts as an ordinary tick: that ULT is
-    // short by contract and would re-queue behind everything else, so the
-    // poll waits for it to block — the flag stays set for that.
-    let kicked = w.io_kick.load(Ordering::Acquire) && t.class != crate::thread::SchedClass::Latency;
-    if !kicked && now.saturating_sub(last) < interval / 2 {
-        w.stats.suppressed_ticks.fetch_add(1, Ordering::Relaxed);
+    if !tick::due(rt, w, t, now) {
         return;
-    }
-    if kicked && t.kind != crate::thread::ThreadKind::Nonpreemptive {
-        w.stats.io_preempts.fetch_add(1, Ordering::Relaxed);
-        crate::debug_registry::event(crate::debug_registry::ev::IOKICK, 3, w.rank as u64);
     }
 
     // This tick will act: account expirations the kernel merged while the
-    // signal was pending (`timer_getoverrun`), so overload (interval ≪
-    // handler cost) is measured rather than silently absorbed. Skipped when
-    // no timer handle is published (`TimerStrategy::None` with raised
-    // ticks, or a worker whose `timer_create` failed).
-    if let Some(h) = rt.timers.raw_handle(w.rank) {
-        let ov = ult_sys::timer::overrun_raw(h);
-        if ov > 0 {
-            w.stats.timer_overruns.fetch_add(ov, Ordering::Relaxed);
-        }
+    // signal was pending (`timer_getoverrun` on this KLT's own timer), so
+    // overload (interval ≪ handler cost) is measured rather than silently
+    // absorbed. Skipped without a timer (`TimerStrategy::None` with raised
+    // ticks, or a KLT whose `timer_create` failed).
+    let ov = klt.timer().map_or(0, |timer| timer.overrun());
+    if ov > 0 {
+        w.stats
+            .timer_overruns
+            .fetch_add(ov as u64, Ordering::Relaxed);
     }
 
     match t.kind {
@@ -278,7 +200,7 @@ fn signal_yield_preempt(
 ) -> ! {
     crate::debug_registry::event(crate::debug_registry::ev::PREEMPT_SY, t.id, w.rank as u64);
     w.preempt_disable(); // scheduler baseline
-    w.publish_timeslice(rt, now);
+    tick::publish_timeslice(rt, w, now);
     w.set_reason(SwitchReason::PreemptedSaved);
     w.stats.record_interrupt(now_ns() - t_enter);
     // Leaving the handler frame: the scheduler we switch into runs on this
@@ -328,7 +250,7 @@ fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter
 
     crate::debug_registry::event(crate::debug_registry::ev::KSGRAB, t.id, k2.id as u64);
     w.preempt_disable(); // scheduler baseline for when k2 resumes it
-    w.publish_timeslice(rt, now);
+    tick::publish_timeslice(rt, w, now);
 
     // Mark the thread captive and bind our KLT to it (paper Fig. 2b: the
     // preempted thread "associates the previous KLT with itself").
@@ -340,8 +262,8 @@ fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter
     w.stats.preemptions.fetch_add(1, Ordering::Relaxed);
     w.stats.klt_switches.fetch_add(1, Ordering::Relaxed);
 
-    // Remap the worker to the replacement KLT and let it run the scheduler.
-    w.timer_rebind.store(true, Ordering::Release);
+    // Remap the worker to the replacement KLT and let it run the scheduler;
+    // its home loop arms its own timer for the worker.
     k2.assigned_worker
         .store(w as *const Worker as *mut Worker, Ordering::Release);
     w.current_klt
@@ -349,6 +271,9 @@ fn klt_switch_preempt(rt: &RuntimeInner, w: &Worker, klt: &Klt, t: &Ult, t_enter
     // Drop our own embodiment BEFORE publishing the thread: the resumer
     // writes klt.worker and must not race our clear.
     klt.worker.store(std::ptr::null_mut(), Ordering::Release);
+    // Stop our timer before the thread is published: a resume of it arms
+    // the timer again, and must come after this disarm.
+    tick::release(klt);
 
     // Publish the captive thread for rescheduling (paper Fig. 2c). The pool
     // push is allocation-free (capacity reserved at spawn).

@@ -7,9 +7,9 @@
 //! worker-local KLT pools (§3.3.2) and a dedicated KLT-creator thread
 //! (because `pthread_create` is not async-signal-safe).
 
-use crate::config::Config;
+use crate::config::{Config, TimerStrategy};
 use crate::klt::{bind_current_klt, unbind_current_klt, Directive, Klt, KltCreator, KltPool};
-use crate::preempt::timer::TimerSet;
+use crate::preempt::tick;
 use crate::stats::RuntimeStats;
 use crate::thread::{JoinHandle, Priority, ResultCell, SchedClass, ThreadKind, Ult};
 use crate::worker::Worker;
@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use ult_arch::{Context, Stack};
+use ult_sys::timer::IntervalTimer;
 
 /// Runtimes whose workers the reactor's watcher thread may signal, as
 /// `(RuntimeInner::id, address)`. The watcher and its watch slots are
@@ -43,10 +44,9 @@ pub(crate) struct RuntimeInner {
     pub global_klts: KltPool,
     /// The KLT-creator request mailbox.
     pub creator: KltCreator,
-    /// Preemption timers.
-    pub timers: TimerSet,
-    /// Whether tick elision is in play (`preempt_interval_ns > 0` and a real
-    /// timer strategy). Precomputed so hot paths pay one bool load.
+    /// Whether timers, and so tick elision, are in play
+    /// (`preempt_interval_ns > 0` and a real timer strategy). Precomputed so
+    /// hot paths pay one bool load.
     pub tick_elision: bool,
     /// Slack added to `now_coarse_ns()` reads in the handler's deadline
     /// filter: 2× the coarse clock's resolution, so
@@ -93,12 +93,11 @@ impl RuntimeInner {
         // Warm the coarse-clock resolution cache while no handler can run;
         // afterwards `coarse_resolution_ns()` is a single atomic load.
         let coarse_slack_ns = 2 * ult_sys::coarse_resolution_ns();
-        let tick_elision = config.preempt_interval_ns > 0
-            && config.timer_strategy != crate::preempt::timer::TimerStrategy::None;
+        let tick_elision =
+            config.preempt_interval_ns > 0 && config.timer_strategy != TimerStrategy::None;
 
         let inner = Arc::new(RuntimeInner {
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
-            timers: TimerSet::new(n),
             tick_elision,
             coarse_slack_ns,
             global_klts: KltPool::new(usize::MAX),
@@ -414,6 +413,25 @@ fn klt_main(rt: Arc<RuntimeInner>, klt: Arc<Klt>, first_worker: Option<usize>) {
     // without an altstack a guard-page fault dies silently.
     install_altstack();
     bind_current_klt(&klt);
+    // This KLT's timer, for life: created disarmed (interval 0) before the
+    // KLT is offered to any pool or worker, armed and disarmed as it starts
+    // and stops embodying workers, deleted when this function returns.
+    // A failed `timer_create` leaves the KLT tickless.
+    let signum = crate::preempt::preempt_signum();
+    let timer = match rt
+        .tick_elision
+        .then(|| IntervalTimer::per_thread(klt.tid(), signum, 0, 0))
+    {
+        Some(Err(_)) => {
+            let w = &rt.workers[first_worker.unwrap_or(0)];
+            w.stats
+                .timer_create_failures
+                .fetch_add(1, Ordering::Relaxed);
+            None
+        }
+        timer => timer.and_then(Result::ok),
+    };
+    klt.set_timer(timer.as_ref());
     match first_worker {
         Some(rank) => {
             // Initial embodiment: pre-assign and fall through the first park.
@@ -452,9 +470,7 @@ fn klt_main(rt: Arc<RuntimeInner>, klt: Arc<Klt>, first_worker: Option<usize>) {
         klt.worker.store(wp, Ordering::Release);
         w.current_klt
             .store(Arc::as_ptr(&klt) as *mut Klt, Ordering::Release);
-        // The worker's preemption timer follows it onto this KLT.
-        rt.timers.rebind_worker_to(&rt, w, klt.tid());
-        w.timer_rebind.store(false, Ordering::Release);
+        tick::embody(&rt, w, &klt);
 
         // Run the worker's scheduler context until it hands back control.
         // SAFETY: the scheduler context is exclusively ours now.
@@ -463,25 +479,26 @@ fn klt_main(rt: Arc<RuntimeInner>, klt: Arc<Klt>, first_worker: Option<usize>) {
         }
 
         let (directive, captive) = klt.take_directive();
+        klt.worker.store(std::ptr::null_mut(), Ordering::Release);
+        tick::release(&klt);
         match directive {
             Directive::WakeCaptiveThenRelease => {
                 let prefer = klt.release_to.swap(usize::MAX, Ordering::AcqRel);
-                klt.worker.store(std::ptr::null_mut(), Ordering::Release);
                 // SAFETY: captive KLTs are registry-kept.
                 let captive: &Klt = unsafe { &*captive };
-                crate::debug_registry::event(16, captive.id as u64, klt.id as u64);
+                crate::debug_registry::event(
+                    crate::debug_registry::ev::WAKE_CAPTIVE,
+                    captive.id as u64,
+                    klt.id as u64,
+                );
                 captive.unpark_captive();
                 rt.release_klt(&klt, prefer);
             }
-            Directive::Exit => {
-                klt.worker.store(std::ptr::null_mut(), Ordering::Release);
-                break;
-            }
-            Directive::None => {
-                klt.worker.store(std::ptr::null_mut(), Ordering::Release);
-            }
+            Directive::Exit => break,
+            Directive::None => {}
         }
     }
+    klt.set_timer(None);
     unbind_current_klt();
 }
 
@@ -664,19 +681,6 @@ impl Runtime {
         self.inner.active_workers.load(Ordering::Acquire)
     }
 
-    /// Debug probe: `(tick_elided, timer_value_ns, timer_interval_ns)` for
-    /// worker `rank`. Diagnostic only — racy by nature.
-    #[doc(hidden)]
-    pub fn debug_tick_state(&self, rank: usize) -> (bool, u64, u64) {
-        let w = &self.inner.workers[rank];
-        let elided = w.tick_elided.load(Ordering::SeqCst);
-        let (v, i) = match self.inner.timers.raw_handle(rank) {
-            Some(h) => ult_sys::timer::gettime_raw(h),
-            None => (0, 0),
-        };
-        (elided, v, i)
-    }
-
     /// Aggregate statistics snapshot.
     pub fn stats(&self) -> RuntimeStats {
         let mut s = RuntimeStats::default();
@@ -730,9 +734,12 @@ impl Runtime {
                 // SAFETY: KLTs are registry-kept.
                 unsafe { (*kp).id }
             };
+            let (elided, armed) = tick::debug_view(w);
             let _ = writeln!(
                 out,
-                "worker {}: idle={} pool={} lo={} current=u{} klt={} disabled={}                  timer_armed={} preempt={} stale={} suppressed={} misses={}                  ticks={} filtered={} elided={} rearmed={} overruns={}",
+                "worker {}: idle={} pool={} lo={} current=u{} klt={} disabled={} \
+                 elided={} timer_armed={} preempt={} stale={} suppressed={} misses={} \
+                 ticks={} filtered={} elisions={} rearmed={} overruns={}",
                 w.rank,
                 w.idle.load(Ordering::Acquire),
                 w.pool.len(),
@@ -740,7 +747,8 @@ impl Runtime {
                 cur_id,
                 klt_id,
                 w.preempt_disabled.0.load(Ordering::Acquire),
-                self.inner.timers.is_armed(w.rank),
+                elided,
+                armed,
                 w.stats.preemptions.load(Ordering::Relaxed),
                 w.stats.stale_ticks.load(Ordering::Relaxed),
                 w.stats.suppressed_ticks.load(Ordering::Relaxed),
@@ -785,8 +793,6 @@ impl Runtime {
         // Out of the watcher's reach first: once this returns no kick is in
         // flight and none can start, so no signal chases an exited KLT.
         LIVE.lock().retain(|&(id, _)| id != rt.id);
-        // Stop timers before tearing down KLTs (no more ticks).
-        rt.timers.disarm_all();
         // Signal shutdown and wake everything.
         rt.shutdown.store(true, Ordering::Release);
         rt.creator.shutdown.store(true, Ordering::Release);

@@ -15,6 +15,7 @@
 //!   threads return to the LIFO head for locality.
 
 use crate::config::SchedPolicy;
+use crate::preempt::tick;
 use crate::runtime::RuntimeInner;
 use crate::thread::{Priority, SchedClass, Ult};
 use crate::worker::Worker;
@@ -80,11 +81,9 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
             } else {
                 w.pool.push_remote(t);
             }
-            if latency {
-                // Shrink before the rearm below so an elided timer re-arms
-                // at the floor, not the old quantum.
-                w.note_latency_push(rt);
-            }
+            // Shrink before the rearm below so an elided timer re-arms at
+            // the floor, not the old quantum.
+            tick::queued(rt, w, latency);
             if wake {
                 wake_for_push(rt, w, local);
             }
@@ -98,11 +97,9 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
             } else {
                 hw.pool.push_remote(t);
             }
-            if latency {
-                hw.note_latency_push(rt);
-            }
+            tick::queued(rt, hw, latency);
             if wake {
-                rearm_on_push(rt, hw, self_push);
+                tick::on_push(rt, hw, self_push);
                 // The pool owner may be packing-suspended, so additionally
                 // wake the one active worker whose scan stride covers this
                 // pool (private pools are strided by `rank % n_active`;
@@ -156,9 +153,7 @@ pub(crate) fn on_ready(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, wake: bool, l
                     }
                 }
             }
-            if latency {
-                w.note_latency_push(rt);
-            }
+            tick::queued(rt, w, latency);
             if wake {
                 wake_for_push(rt, w, local);
             }
@@ -208,77 +203,7 @@ fn wake_for_push(rt: &RuntimeInner, w: &Worker, local: bool) {
         w.unpark();
     }
     rt.wake_one_idle(local.then_some(w));
-    rearm_on_push(rt, w, local);
-}
-
-/// Tick-elision pusher hook: after publishing work to `target`'s pool and
-/// waking it, restore its periodic preemption tick if it was elided. This
-/// is the pusher half of the Dekker pairing with `worker::try_elide` (push,
-/// fence, read flag — vs — flag store, fence, read pools): one of the two
-/// sides always observes the other.
-///
-/// Not called on the scheduler's own yield re-enqueue (`wake == false`) —
-/// that path dispatches again immediately and the dispatch-time state
-/// machine re-arms there.
-///
-/// `is_self`: the caller embodies `target` (its scheduler context or a ULT
-/// pinned on it). Then only a preemptive occupant gets its tick back. From
-/// the scheduler context or a `Nonpreemptive` ULT no tick could act before
-/// the next dispatch, and that dispatch's `update_tick_state` re-arms iff it
-/// runs a preemptive ULT with work queued — program order on one thread, so
-/// no Dekker pairing is involved (`rearm_from_handler` leans on the same
-/// argument). Re-arming here would be a `timer_settime` that the dispatch
-/// undoes with another.
-pub(crate) fn rearm_on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
-    if !rt.tick_elision || (is_self && !target.stats.current_kind_preemptive()) {
-        return;
-    }
-    std::sync::atomic::fence(Ordering::SeqCst);
-    if !target.tick_elided.load(Ordering::SeqCst) {
-        return;
-    }
-    if is_self {
-        // Our own worker, running a preemptive spawner: re-arm directly.
-        target.tick_elided.store(false, Ordering::SeqCst);
-        rt.timers.rearm_worker(rt, target);
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 7, target.rank as u64);
-        target.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
-    } else {
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 8, target.rank as u64);
-        nudge_elided(target);
-    }
-}
-
-/// Handler-context variant of [`rearm_on_push`] for cross-worker pushes
-/// from `on_preempted` (which may run inside the preemption handler, where
-/// the timer mutex is off-limits): the target gets a signal nudge.
-// sigsafe
-fn rearm_on_remote_push(rt: &RuntimeInner, target: &Worker) {
-    if !rt.tick_elision {
-        return;
-    }
-    std::sync::atomic::fence(Ordering::SeqCst);
-    if target.tick_elided.load(Ordering::SeqCst) {
-        nudge_elided(target);
-    }
-}
-
-/// Ask a remote elided worker to re-arm: a plain preemption tick sent to
-/// its embodying KLT; the handler re-arms from the owner side (and may
-/// preempt the running ULT right away — wanted, work just arrived). If the
-/// worker is idle-parked instead, the unpark accompanying the push wakes it
-/// and its next dispatch re-arms.
-// sigsafe
-fn nudge_elided(target: &Worker) {
-    let kp = target.current_klt.load(Ordering::Acquire);
-    if kp.is_null() {
-        return;
-    }
-    // SAFETY: KLTs are registry-kept for the runtime's life.
-    let tid = unsafe { &*kp }.tid();
-    if tid != 0 {
-        ult_sys::signal::send_signal(tid, crate::preempt::preempt_signum());
-    }
+    tick::on_push(rt, w, local);
 }
 
 /// Route a preempted thread. Async-signal-safe: only the deque's CAS-free
@@ -303,9 +228,7 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, in_handle
         // preempted thread into its local FIFO queue" (§4.1).
         SchedPolicy::WorkStealing => {
             w.pool.push(t);
-            if latency {
-                w.note_latency_push(rt);
-            }
+            tick::queued(rt, w, latency);
             if in_handler {
                 w.unpark();
             }
@@ -319,11 +242,9 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, in_handle
                 hw.pool.push(t);
             } else {
                 hw.pool.push_remote(t);
-                rearm_on_remote_push(rt, hw);
+                tick::on_push(rt, hw, false);
             }
-            if latency {
-                hw.note_latency_push(rt);
-            }
+            tick::queued(rt, hw, latency);
             if in_handler || home != w.rank {
                 hw.unpark();
             }
@@ -338,9 +259,7 @@ pub(crate) fn on_preempted(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>, in_handle
                 Priority::High => w.pool.push(t),
                 Priority::Low => w.lo_pool.push(t),
             }
-            if latency {
-                w.note_latency_push(rt);
-            }
+            tick::queued(rt, w, latency);
             if in_handler {
                 w.unpark();
             }
@@ -612,7 +531,7 @@ mod tests {
     }
 
     /// A push from worker 0's own context onto its elided self, under
-    /// `occupant`: `(tick_elided afterwards, tick re-arms, unparks)`.
+    /// `occupant`: `(tick elided afterwards, tick re-arms, unparks)`.
     fn self_push(policy: SchedPolicy, occupant: Option<ThreadKind>) -> (bool, u64, u64) {
         let rt = RuntimeInner::new(crate::Config {
             num_workers: 1,
@@ -621,11 +540,11 @@ mod tests {
         });
         let w = &rt.workers[0];
         w.stats.set_current_kind(occupant);
-        w.tick_elided.store(true, Ordering::SeqCst);
+        tick::try_elide(&rt, w);
         on_ready(&rt, w, ult(1, SchedClass::Normal), true, true);
         assert_eq!(pick(&rt, w).unwrap().id, 1, "{policy:?}");
         (
-            w.tick_elided.load(Ordering::SeqCst),
+            tick::debug_view(w).0,
             w.stats.tick_rearms.load(Ordering::Relaxed),
             w.stats.unparks.load(Ordering::Relaxed),
         )
@@ -677,14 +596,14 @@ mod tests {
         );
         w.current_klt
             .store(Arc::as_ptr(&klt) as *mut _, Ordering::Release);
-        w.tick_elided.store(true, Ordering::SeqCst);
+        tick::try_elide(&rt, w);
         on_ready(&rt, w, ult(1, SchedClass::Normal), true, false);
         crate::klt::unbind_current_klt();
         assert_eq!(w.stats.unparks.load(Ordering::Relaxed), 1);
         assert_eq!(w.stats.timer_ticks.load(Ordering::Relaxed), 1);
         // With no preemptive occupant the handler leaves the re-arm to the
         // owner's next dispatch.
-        assert!(w.tick_elided.load(Ordering::SeqCst));
+        assert!(tick::debug_view(w).0);
         assert_eq!(w.stats.tick_rearms.load(Ordering::Relaxed), 0);
     }
 

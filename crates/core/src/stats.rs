@@ -203,11 +203,11 @@ worker_counters! {
     timer_overruns:
     /// Kernel-coalesced timer expirations (`timer_getoverrun`).
     u64;
-    /// Times this worker's `timer_create` failed (at start or at a
-    /// KLT-switch rebind); the worker runs without ticks until the next
-    /// rebind succeeds.
+    /// KLTs started for this worker (worker 0: the spares) whose
+    /// `timer_create` failed; whichever worker such a KLT embodies runs
+    /// without ticks meanwhile.
     timer_create_failures:
-    /// Failed `timer_create` calls (workers left without ticks).
+    /// Failed `timer_create` calls (KLTs left without a timer).
     u64;
     /// Threads run to completion on this worker.
     completed:

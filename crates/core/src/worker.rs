@@ -30,9 +30,10 @@
 
 use crate::klt::{Directive, Klt};
 use crate::pool::ThreadPool;
+use crate::preempt::tick::{self, Tick};
 use crate::runtime::RuntimeInner;
 use crate::stats::WorkerStats;
-use crate::thread::{SchedClass, ThreadKind, Ult, UltState};
+use crate::thread::{Ult, UltState};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -111,43 +112,9 @@ pub(crate) struct Worker {
     /// pusher deposits its token, fences, then reads the flag and rings the
     /// shard doorbell if set.
     pub reactor_park: AtomicBool, // ordering: seqcst Dekker pairing with io_hook::unpark_kick
-    /// The worker's preemption timer needs re-targeting to the current KLT
-    /// (set by the KLT-switching handler; consumed by the scheduler loop).
-    pub timer_rebind: AtomicBool, // ordering: acqrel
-    /// Monotonic ns timestamp of the last preemption (echo suppression for
-    /// stale ticks pending across a captive park).
-    // ordering: relaxed echo-suppression heuristic; a stale read only misfilters one tick
-    pub last_preempt_ns: AtomicU64,
-    /// Tick elision (≤1 runnable ULT ⇒ nothing to timeslice to): when set,
-    /// this worker's periodic timer is disarmed. Cleared by the push paths /
-    /// the handler when work arrives. Dekker-paired with the pushers: the elider stores `true`,
-    /// fences, then re-reads the pools; the pusher pushes, fences, then
-    /// reads this flag.
-    pub tick_elided: AtomicBool, // ordering: seqcst Dekker pairing against the push paths
-    /// Cached absolute deadline (monotonic ns) before which a preemption
-    /// tick is certainly premature — `dispatch_time + interval/2`, i.e. the
-    /// echo-suppression horizon. `0` disables the filter (interval too small
-    /// for the coarse clock to judge). Read by the handler via
-    /// `CLOCK_MONOTONIC_COARSE` so spurious ticks bounce off without a
-    /// precise clock read or any scheduler-state access.
-    // ordering: relaxed same-KLT deadline cache; a stale cross-KLT read only misclassifies one tick
-    pub preempt_deadline_ns: AtomicU64,
-    /// The worker's current adaptive preemption quantum in ns (0 = use the
-    /// configured base tick; fixed-tick configs never write it). Written by
-    /// the dispatch path and the push-side latency shrink; read by the
-    /// signal handler for its echo window and elision re-arm interval.
-    /// Writers order the quantum store *before* the deadline store so a
-    /// handler that observes the cleared/updated deadline also observes the
-    /// matching quantum (model: `quantum_publish_vs_handler`).
-    // ordering: acqrel quantum published before the deadline store; the handler reads deadline then quantum
-    pub cur_quantum_ns: AtomicU64,
-    /// The reactor's watcher found this worker's shard ready
-    /// (`io_hook::io_kick`). While set, a preemption tick is due whatever
-    /// the filters say, and the scheduler's next `maybe_poll` — which clears
-    /// it — polls whatever the rate limit says. The kicker stores it before
-    /// it sends the signal, so the handler that signal runs sees it.
-    // ordering: acqrel set by the watcher before its tgkill, read by the handler, swapped clear by the scheduler's poll
-    pub io_kick: AtomicBool,
+    /// The worker's preemption tick: elision, timeslice, quantum and the
+    /// reactor's kick (`preempt::tick`).
+    pub tick: Tick,
     /// Per-worker statistics (interruption samples, counts).
     pub stats: WorkerStats,
     /// RNG state for steal-victim selection (xorshift; scheduler-only).
@@ -196,12 +163,7 @@ impl Worker {
             wake: Futex::new(),
             idle: AtomicBool::new(false),
             reactor_park: AtomicBool::new(false),
-            timer_rebind: AtomicBool::new(false),
-            last_preempt_ns: AtomicU64::new(0),
-            tick_elided: AtomicBool::new(false),
-            preempt_deadline_ns: AtomicU64::new(0),
-            cur_quantum_ns: AtomicU64::new(0),
-            io_kick: AtomicBool::new(false),
+            tick: Tick::default(),
             stats: WorkerStats::new(stat_samples),
             steal_seed: AtomicU64::new(0x9E3779B97F4A7C15 ^ (rank as u64 + 1)),
             pack_phase: AtomicBool::new(false),
@@ -301,246 +263,6 @@ impl Worker {
         self.wake.unpark();
         crate::io_hook::unpark_kick(self);
     }
-
-    /// Start a fresh timeslice at `now`: record the echo-suppression
-    /// timestamp and publish the cached "any tick before this is premature"
-    /// deadline for the handler's coarse-clock filter. The deadline is the
-    /// echo horizon (`now + interval/2`); it is published as 0 (filter off)
-    /// when the horizon is inside the coarse clock's error band — the
-    /// precise echo filter in `maybe_preempt` stays authoritative there.
-    #[inline]
-    // sigsafe
-    pub(crate) fn publish_timeslice(&self, rt: &RuntimeInner, now: u64) {
-        self.last_preempt_ns.store(now, Ordering::Release);
-        let horizon = self.quantum_ns(rt) / 2;
-        let deadline = if horizon > rt.coarse_slack_ns {
-            now.saturating_add(horizon)
-        } else {
-            0
-        };
-        self.preempt_deadline_ns.store(deadline, Ordering::Release);
-    }
-
-    /// The worker's effective preemption interval: the adaptive quantum if
-    /// one has been published, else the configured base tick.
-    #[inline]
-    // sigsafe
-    pub(crate) fn quantum_ns(&self, rt: &RuntimeInner) -> u64 {
-        let q = self.cur_quantum_ns.load(Ordering::Acquire);
-        if q == 0 {
-            rt.config.preempt_interval_ns
-        } else {
-            q
-        }
-    }
-
-    /// Push-side half of the adaptive quantum: a latency-class ULT was just
-    /// queued for this worker. Collapse the quantum to the floor, cut the
-    /// premature-tick deadline so the next tick acts instead of bouncing
-    /// off the coarse filter, and re-phase an armed per-worker timer so
-    /// that tick lands within the floor rather than the old (possibly
-    /// stretched) period. Async-signal-safe — the Packing `on_preempted`
-    /// path runs inside the handler: atomics plus `timer_settime` on the
-    /// published raw handle only.
-    // sigsafe
-    pub(crate) fn note_latency_push(&self, rt: &RuntimeInner) {
-        if !rt.config.adaptive_quantum || rt.config.preempt_interval_ns == 0 {
-            return;
-        }
-        let floor = quantum_floor(rt);
-        if self.quantum_ns(rt) <= floor {
-            return;
-        }
-        self.stats.quantum_shrinks.fetch_add(1, Ordering::Relaxed);
-        // Quantum before deadline: a handler observing the cleared deadline
-        // must also observe the shrunk quantum (the quantum-publish
-        // protocol; model: `quantum_publish_vs_handler`).
-        self.cur_quantum_ns.store(floor, Ordering::Release);
-        self.preempt_deadline_ns.store(0, Ordering::Release);
-        if !self.tick_elided.load(Ordering::SeqCst) {
-            if let Some(h) = rt.timers.raw_handle(self.rank) {
-                ult_sys::timer::arm_raw(h, floor);
-            }
-        }
-    }
-
-    /// Handler-side rearm after elision: a tick (nudge) reached this worker
-    /// while its timer was elided, meaning a pusher saw queued work. Re-arm
-    /// the periodic timer via the published raw handle.
-    // sigsafe
-    pub(crate) fn rearm_from_handler(&self, rt: &RuntimeInner) {
-        // An idle or nonpreemptive occupant re-arms at its next dispatch
-        // instead; arming here would tick a worker with nothing to preempt.
-        if !self.stats.current_kind_preemptive() {
-            return;
-        }
-        // Clear the flag only together with an actual arm: with no handle
-        // published (mid-rebind window) the flag must stay set so a later
-        // push or dispatch repairs the timer — clearing it without arming
-        // would wedge the worker in a flag-clear/timer-disarmed state that
-        // no pusher ever re-checks.
-        let Some(h) = rt.timers.raw_handle(self.rank) else {
-            return;
-        };
-        self.tick_elided.store(false, Ordering::SeqCst);
-        // Class-appropriate interval: an elided timer re-arms at the
-        // worker's current quantum (shrunk if latency work queued).
-        ult_sys::timer::arm_raw(h, self.quantum_ns(rt));
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 6, self.rank as u64);
-        self.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The adaptive quantum floor is the base tick divided by this.
-const QUANTUM_FLOOR_DIV: u64 = 4;
-/// The adaptive quantum ceiling is the base tick multiplied by this.
-const QUANTUM_CEIL_MUL: u64 = 4;
-
-/// The adaptive quantum floor (base tick / [`QUANTUM_FLOOR_DIV`]).
-#[inline]
-// sigsafe
-pub(crate) fn quantum_floor(rt: &RuntimeInner) -> u64 {
-    (rt.config.preempt_interval_ns / QUANTUM_FLOOR_DIV).max(1)
-}
-
-/// The adaptive quantum ceiling (base tick × [`QUANTUM_CEIL_MUL`]).
-#[inline]
-fn quantum_ceil(rt: &RuntimeInner) -> u64 {
-    rt.config
-        .preempt_interval_ns
-        .saturating_mul(QUANTUM_CEIL_MUL)
-}
-
-/// Dispatch-side half of the adaptive quantum, run right before
-/// `publish_timeslice` at every dispatch. Samples the dispatched thread's
-/// queue delay (coarse clock: stamped at push by the scheduler's ready
-/// paths, read here) and the local latency backlog, then moves the quantum
-/// one step: halve toward the floor under latency pressure or congestion,
-/// double toward the ceiling while only throughput work runs, snap back to
-/// the base tick otherwise. A change re-phases the worker's armed periodic
-/// timer at the new interval (elided timers pick it up at re-arm).
-fn update_quantum(rt: &RuntimeInner, w: &Worker, t: &Ult) {
-    match t.class {
-        SchedClass::Latency => {
-            w.stats.latency_dispatches.fetch_add(1, Ordering::Relaxed);
-        }
-        SchedClass::Throughput => {
-            w.stats
-                .throughput_dispatches
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        SchedClass::Normal => {}
-    }
-    if !rt.config.adaptive_quantum || rt.config.preempt_interval_ns == 0 {
-        return;
-    }
-    let base = rt.config.preempt_interval_ns;
-    let cur = w.quantum_ns(rt);
-    let ready_at = t.ready_at_ns.load(Ordering::Relaxed);
-    let delay = if ready_at == 0 {
-        0
-    } else {
-        ult_sys::clock::now_coarse_ns().saturating_sub(ready_at)
-    };
-    let lat_waiting = w.pool.has_latency() || w.lo_pool.has_latency();
-    let next = if lat_waiting || (t.class == SchedClass::Latency && delay > cur) {
-        (cur / 2).max(quantum_floor(rt))
-    } else if t.class == SchedClass::Throughput && delay <= base {
-        cur.saturating_mul(2).min(quantum_ceil(rt))
-    } else {
-        base
-    };
-    if next == cur {
-        return;
-    }
-    if next < cur {
-        w.stats.quantum_shrinks.fetch_add(1, Ordering::Relaxed);
-    } else {
-        w.stats.quantum_stretches.fetch_add(1, Ordering::Relaxed);
-    }
-    // Quantum before deadline: `publish_timeslice` runs right after this
-    // and derives the deadline from the new quantum (the quantum-publish
-    // protocol; model: `quantum_publish_vs_handler`).
-    w.cur_quantum_ns.store(next, Ordering::Release);
-    if !w.tick_elided.load(Ordering::SeqCst) {
-        if let Some(h) = rt.timers.raw_handle(w.rank) {
-            ult_sys::timer::arm_raw(h, next);
-        }
-    }
-}
-
-/// Try to take worker `w`'s periodic tick out of service: nothing is
-/// runnable beyond what it is about to run (or it is going idle). The
-/// store-fence-recheck sequence is the elider half of the Dekker pairing
-/// with `rearm_on_push`.
-fn try_elide(rt: &RuntimeInner, w: &Worker) {
-    if w.tick_elided.load(Ordering::SeqCst) {
-        return;
-    }
-    w.tick_elided.store(true, Ordering::SeqCst);
-    std::sync::atomic::fence(Ordering::SeqCst);
-    if crate::sched::has_any_work(rt, w) {
-        // Work raced in between the pick and the flag store; keep ticking.
-        w.tick_elided.store(false, Ordering::SeqCst);
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 2, w.rank as u64);
-        return;
-    }
-    rt.timers.elide_worker(w);
-    crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 1, w.rank as u64);
-    w.stats.tick_elisions.fetch_add(1, Ordering::Relaxed);
-    // A handler on this KLT may have re-armed between our flag store and
-    // the disarm (nudge from a remote pusher); honor it.
-    if !w.tick_elided.load(Ordering::SeqCst) {
-        rt.timers.rearm_worker(rt, w);
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 3, w.rank as u64);
-        w.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Tick-elision state machine, run at every dispatch right before switching
-/// into `t`: a worker keeps its timer armed only while it runs a preemptive
-/// ULT *and* other runnable work exists for a preemption to switch to.
-fn update_tick_state(rt: &RuntimeInner, w: &Worker, t: &Ult) {
-    if !rt.tick_elision {
-        return;
-    }
-    let preemptive = t.kind != ThreadKind::Nonpreemptive;
-    // A reactor shard holding armed waiters (fd interest or wheel
-    // deadlines) counts as work: a tick is what gives a busy worker the
-    // dispatch boundaries at which it services its shard, and the waiter's
-    // own wake is the only other event that could ever end the occupant's
-    // monopoly. Eliding (or staying elided) here would deadlock e.g. a solo
-    // spinner plus a ULT sleeping on this shard's wheel — the block that
-    // armed the waiter caused this very dispatch, so checking at every
-    // dispatch closes the arm-after-elide window. (An idle worker still
-    // elides: its epoll park serves the shard with a kernel timeout.)
-    let shard_pending = preemptive && crate::io_hook::shard_pending(w);
-    if preemptive && (shard_pending || crate::sched::has_any_work(rt, w)) {
-        if w.tick_elided.swap(false, Ordering::SeqCst) {
-            rt.timers.rearm_worker(rt, w);
-            crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 4, w.rank as u64);
-            w.stats.tick_rearms.fetch_add(1, Ordering::Relaxed);
-        }
-        // Whoever needs a timer to get the CPU back also needs the watcher
-        // to get its shard looked at before that timer fires. Not under a
-        // Latency occupant: it is short by contract, readiness found while
-        // it runs could only send it to the back of the queue, and the fd
-        // that woke it stays readable (sticky interest) until it has read,
-        // which would fire the watch at once.
-        if shard_pending && t.class != SchedClass::Latency {
-            crate::io_hook::watch(rt, w);
-        }
-    } else if preemptive {
-        try_elide(rt, w);
-    } else if !w.tick_elided.load(Ordering::SeqCst) {
-        // Nonpreemptive occupant: ticks are useless no matter the queue —
-        // the handler could never preempt it. No Dekker re-check needed;
-        // the next dispatch re-arms if work is waiting.
-        w.tick_elided.store(true, Ordering::SeqCst);
-        rt.timers.elide_worker(w);
-        crate::debug_registry::event(crate::debug_registry::ev::TICKOP, 5, w.rank as u64);
-        w.stats.tick_elisions.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Entry point of every worker's scheduler context.
@@ -562,13 +284,6 @@ fn scheduler_loop(w: &Worker) -> ! {
         // Shutdown?
         if rt.shutdown.load(Ordering::Acquire) {
             exit_to_home(w);
-        }
-
-        // Timer re-targeting after a KLT switch (paper §4.1 pairs
-        // KLT-switching with per-worker timers; the timer must follow the
-        // worker onto its new KLT).
-        if w.timer_rebind.swap(false, Ordering::AcqRel) {
-            rt.timers.rebind_worker(rt, w);
         }
 
         // Thread packing: ranks >= active park until reactivated (§4.2).
@@ -625,11 +340,7 @@ fn idle_wait(rt: &RuntimeInner, w: &Worker) {
         w.idle.store(false, Ordering::Release);
         return;
     }
-    // An idle worker takes zero timer signals: elide its tick before
-    // parking (re-armed at the next dispatch).
-    if rt.tick_elision {
-        try_elide(rt, w);
-    }
+    tick::try_elide(rt, w);
     // Third park mode: if a reactor is registered, park in this worker's
     // own shard's `epoll_wait` (servicing its fds and timer wheel) instead
     // of the futex. Every idle worker shard-parks — shards are per-worker,
@@ -709,12 +420,8 @@ fn normal_run(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
     // previous occupant was suspended (without this, the RT-signal backlog
     // accumulated during a long captivity re-preempts immediately on every
     // resume, nesting one ~11 KB signal frame per round until the ULT
-    // stack's guard page is hit). Also publishes the handler's cached
-    // early-tick deadline. The quantum update must precede it: the
-    // published deadline is derived from the (possibly changed) quantum.
-    update_quantum(rt, w, &t);
-    w.publish_timeslice(rt, ult_sys::clock::now_ns());
-    update_tick_state(rt, w, &t);
+    // stack's guard page is hit).
+    tick::dispatch(rt, w, &t);
 
     // Consume the saved context (leave the slot empty): a second restore of
     // the same suspension would replay arbitrary user code — consuming turns
@@ -808,9 +515,7 @@ fn resume_captive(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
     // queued many stale ticks at the captive KLT; they deliver as soon as
     // the handler's sigreturn unmasks, and must be absorbed by the echo
     // filter rather than re-preempting instantly.
-    update_quantum(rt, w, &t);
-    w.publish_timeslice(rt, ult_sys::clock::now_ns());
-    update_tick_state(rt, w, &t);
+    tick::dispatch(rt, w, &t);
     // Re-point the worker at the captive KLT. The captive will decrement
     // the disable count (currently 1) in its handler continuation.
     captive
@@ -818,8 +523,7 @@ fn resume_captive(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
         .store(w as *const Worker as *mut Worker, Ordering::Release);
     w.current_klt
         .store(captive as *const Klt as *mut Klt, Ordering::Release);
-    // The worker's timer must follow it onto the captive KLT.
-    rt.timers.rebind_worker_to(rt, w, captive.tid());
+    tick::embody(rt, w, captive);
     w.stats.captive_resumes.fetch_add(1, Ordering::Relaxed);
 
     // Hand control back to our KLT's home loop, which wakes the captive
@@ -885,21 +589,4 @@ unsafe extern "C" fn ult_entry(arg: *mut core::ffi::c_void) -> ! {
         Context::switch(&mut dead, w.sched_ctx.get());
     }
     unreachable!("finished ULT resumed");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn adaptive_quantum_spans_a_quarter_to_four_base_ticks() {
-        let rt = RuntimeInner::new(crate::Config {
-            num_workers: 1,
-            preempt_interval_ns: 1_000_000,
-            adaptive_quantum: true,
-            ..crate::Config::default()
-        });
-        assert_eq!(quantum_floor(&rt), 250_000);
-        assert_eq!(quantum_ceil(&rt), 4_000_000);
-    }
 }

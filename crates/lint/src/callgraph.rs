@@ -17,7 +17,7 @@
 //! * workspace `macro_rules!` bodies are traversed like callees, so a
 //!   macro-wrapped `Box::new` on the handler path is flagged;
 //! * every finding carries the full call path from its handler root
-//!   (`preempt_handler → rearm_from_handler → raw_handle`), so a transitive
+//!   (`preempt_handler → handler_entry → rearm → arm_timer`), so a transitive
 //!   violation is attributable without re-deriving the graph by hand.
 //!
 //! Unannotated definitions in *other* crates are not traversed: name
@@ -32,8 +32,8 @@
 //!
 //! ```text
 //! budget: 2
-//! # key                reason
-//! timer.rs:raw_handle  audited: indexing panics only on runtime misuse
+//! # key        reason
+//! pool.rs:pop  handler pops bind to KltPool::pop; ThreadPool::pop is scheduler-context only
 //! ```
 //!
 //! A key is `<file-basename>:<function-name>` and matches findings whose

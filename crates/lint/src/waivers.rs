@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! budget: 2
-//! # key                reason
-//! timer.rs:raw_handle  audited: indexing panics only on runtime misuse
+//! # key        reason
+//! pool.rs:pop  handler pops bind to KltPool::pop; ThreadPool::pop is scheduler-context only
 //! ```
 //!
 //! A key is `<file-basename>:<function-name>` and matches findings whose

@@ -15,8 +15,9 @@
 //!   live window, then Release-publish the new buffer; the stealer's
 //!   Acquire `buf` load is what makes its slot read race-free, which the
 //!   [`RaceCell`] slots verify directly.
-//! * [`ModelTick`] — the tick-elision Dekker pairing (`worker::try_elide`
-//!   vs `sched::rearm_on_push`): flag store, fence, work check — against —
+//! * [`ModelTick`] — the tick-elision Dekker pairing (`tick::try_elide`
+//!   vs `tick::on_push`, `crates/core/src/preempt/tick.rs`): flag store,
+//!   fence, work check — against —
 //!   work publish, fence, flag check. The invariant is that published
 //!   work never ends with the tick still elided. [`tick_dispatch_vs_push`]
 //!   carries it across the dispatch that follows an owner's own push, which
@@ -746,7 +747,7 @@ pub fn rebind_vs_stale_delivery() -> usize {
 // ---------------------------------------------------------------------------
 
 /// One worker's elision state: `work` stands in for its pools' occupancy
-/// (`has_any_work`), `elided` for `Worker::tick_elided`.
+/// (`has_any_work`), `elided` for `Tick::elided` (`preempt/tick.rs`).
 pub struct ModelTick {
     work: AtomicUsize,
     elided: AtomicBool,
@@ -767,7 +768,7 @@ pub fn tick_elide_vs_push(weaken: bool) -> (usize, bool) {
         elided: AtomicBool::new(false),
     });
     let s2 = s.clone();
-    // Pusher half (`rearm_on_push`, sched.rs): publish work, fence, then
+    // Pusher half (`on_push`, tick.rs): publish work, fence, then
     // rearm if the flag is up. The publish itself is the deque's Release
     // bottom store.
     let pusher = thread::spawn(move || {
@@ -777,7 +778,7 @@ pub fn tick_elide_vs_push(weaken: bool) -> (usize, bool) {
             s2.elided.store(false, flag_store);
         }
     });
-    // Elider half (`try_elide`, worker.rs): raise the flag, fence, then
+    // Elider half (`try_elide`, tick.rs): raise the flag, fence, then
     // back off if work is visible.
     s.elided.store(true, flag_store);
     fence(fence_ord);
@@ -793,17 +794,17 @@ pub fn tick_elide_vs_push(weaken: bool) -> (usize, bool) {
 
 /// The step after the pairing above, for a worker that enters it with its
 /// tick *already* elided: the owner's own push leaves the flag up (a worker
-/// never re-arms for an occupant that cannot be preempted — `rearm_on_push`
+/// never re-arms for an occupant that cannot be preempted — `tick::on_push`
 /// with `is_self`, from the scheduler context), and the next dispatch has to
 /// settle it. Here that dispatch pops the pushed ULT, a preemptive one, and
 /// runs `update_tick_state`, while a remote pusher publishes a second ULT
-/// and — having seen the flag — nudges (`nudge_elided`).
+/// and — having seen the flag — nudges (`tick::nudge`).
 ///
 /// The nudge is a signal: its handler runs on the owner's own thread between
 /// any two of the owner's steps (`poll` below; the signal's delivery is what
 /// orders it after the pusher's publish), and re-arms only over a preemptive
 /// occupant — otherwise it leaves the flag for "the next dispatch"
-/// (`rearm_from_handler`). So the flag outlives the handler exactly when the
+/// (`tick::handler_entry`). So the flag outlives the handler exactly when the
 /// dispatch is still to come, and the dispatch re-reads the pools whatever
 /// the flag says.
 ///
@@ -917,9 +918,9 @@ pub const QP_FLOOR: usize = 1;
 /// Initial (far-future) deadline derived from the base quantum.
 pub const QP_FAR: usize = 8;
 
-/// The quantum-publish pairing (`worker::note_latency_push` vs the signal
-/// handler's deadline filter + re-arm): the writer stores the shrunk
-/// `cur_quantum_ns` *before* clearing `preempt_deadline_ns`, both Release;
+/// The quantum-publish pairing (`tick::queued` vs the signal handler's
+/// deadline filter + re-arm): the writer stores the shrunk `Tick::quantum_ns`
+/// *before* clearing `Tick::deadline_ns`, both Release;
 /// the handler loads the deadline then the quantum, both Acquire. The
 /// invariant is that a handler observing the cleared deadline also
 /// observes the matching floor quantum — otherwise an elided-timer re-arm
@@ -934,12 +935,12 @@ pub fn quantum_publish_vs_handler(weaken: bool) -> (usize, usize) {
     let quantum = Arc::new(AtomicUsize::new(QP_BASE));
     let deadline = Arc::new(AtomicUsize::new(QP_FAR));
     let (q2, d2) = (quantum.clone(), deadline.clone());
-    // Writer half (`note_latency_push`): quantum before deadline.
+    // Writer half (`tick::queued`): quantum before deadline.
     let pusher = thread::spawn(move || {
         q2.store(QP_FLOOR, st);
         d2.store(0, st);
     });
-    // Handler half (`maybe_preempt` coarse filter → `rearm_from_handler`):
+    // Handler half (`tick::handler_entry`: coarse filter, re-arm):
     // deadline first, then the quantum the re-arm would use.
     let dl = deadline.load(ld);
     let q = quantum.load(ld);

@@ -24,6 +24,8 @@ pub struct IntervalTimer {
 
 // SAFETY: timer_t is a kernel handle; operations on it are thread-safe.
 unsafe impl Send for IntervalTimer {}
+// SAFETY: as above; `&self` methods are plain syscalls on the handle.
+unsafe impl Sync for IntervalTimer {}
 
 impl IntervalTimer {
     /// Create a timer that delivers `signum` to kernel thread `tid` every
@@ -93,70 +95,22 @@ impl IntervalTimer {
         unsafe { libc::timer_getoverrun(self.timer) }
     }
 
-    /// The raw kernel timer handle, for publication in an atomic so signal
-    /// handlers can re-arm/query the timer lock-free (see [`arm_raw`],
-    /// [`overrun_raw`]). The handle stays valid until `Drop`.
-    pub fn raw_handle(&self) -> libc::timer_t {
-        self.timer
-    }
-}
-
-/// Re-arm a timer by raw handle: next expiry after one full `interval_ns`,
-/// then periodic. Async-signal-safe (`timer_settime` is on the POSIX list;
-/// `timer_create` is not — which is why handlers may *re-arm* a published
-/// handle but never create one). Errors (e.g. a handle deleted by a
-/// concurrent rebind) are ignored: arming a stale handle is harmless —
-/// worst case a spurious extra tick lands somewhere and is filtered.
-// sigsafe
-// `timer_t` is a raw pointer type on glibc but is an opaque kernel id: it is
-// never dereferenced in user space, only passed back to the kernel, which
-// validates it (stale → EINVAL).
-#[allow(clippy::not_unsafe_ptr_arg_deref)]
-pub fn arm_raw(handle: libc::timer_t, interval_ns: u64) {
-    let its = libc::itimerspec {
-        it_interval: ns_to_timespec(interval_ns),
-        it_value: ns_to_timespec(interval_ns),
-    };
-    // SAFETY: raw syscall on a (possibly stale) kernel handle; stale handles
-    // fail with EINVAL, which we deliberately ignore.
-    unsafe {
-        libc::timer_settime(handle, 0, &its, ptr::null_mut());
-    }
-}
-
-/// `timer_gettime` by raw handle: `(value_ns, interval_ns)` — `(0, 0)` for
-/// a disarmed or stale handle. Diagnostic only.
-#[doc(hidden)]
-#[allow(clippy::not_unsafe_ptr_arg_deref)]
-pub fn gettime_raw(handle: libc::timer_t) -> (u64, u64) {
-    // Vendored libc doesn't declare `timer_gettime`; bind it directly.
-    extern "C" {
-        fn timer_gettime(timerid: libc::timer_t, curr: *mut libc::itimerspec) -> libc::c_int;
-    }
-    let mut its = libc::itimerspec {
-        it_interval: ns_to_timespec(0),
-        it_value: ns_to_timespec(0),
-    };
-    // SAFETY: raw syscall; stale handles fail with EINVAL, leaving zeros.
-    unsafe {
-        timer_gettime(handle, &mut its);
-    }
-    let ns = |t: libc::timespec| t.tv_sec as u64 * 1_000_000_000 + t.tv_nsec as u64;
-    (ns(its.it_value), ns(its.it_interval))
-}
-
-/// `timer_getoverrun` by raw handle, clamped to 0 on error (stale handle).
-/// Async-signal-safe.
-// sigsafe
-// See `arm_raw`: `timer_t` is an opaque kernel id, not dereferenced here.
-#[allow(clippy::not_unsafe_ptr_arg_deref)]
-pub fn overrun_raw(handle: libc::timer_t) -> u64 {
-    // SAFETY: raw syscall; stale handles return -1 (EINVAL), clamped below.
-    let n = unsafe { libc::timer_getoverrun(handle) };
-    if n > 0 {
-        n as u64
-    } else {
-        0
+    /// Whether the timer is armed: `timer_gettime` reports a time to the
+    /// next expiry. Diagnostic only.
+    pub fn is_armed(&self) -> bool {
+        // Vendored libc doesn't declare `timer_gettime`; bind it directly.
+        extern "C" {
+            fn timer_gettime(timerid: libc::timer_t, curr: *mut libc::itimerspec) -> libc::c_int;
+        }
+        let mut its = libc::itimerspec {
+            it_interval: ns_to_timespec(0),
+            it_value: ns_to_timespec(0),
+        };
+        // SAFETY: live handle; `its` is a valid out-pointer.
+        unsafe {
+            timer_gettime(self.timer, &mut its);
+        }
+        its.it_value.tv_sec != 0 || its.it_value.tv_nsec != 0
     }
 }
 

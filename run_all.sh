@@ -44,8 +44,10 @@ for pin in "taskset -c 0" ""; do
         # cannot preempt, and a preemptive spawner still gets its tick.
         $pin cargo test -q -p ult-core --test ready_path
         $pin cargo test -q -p ult-core --test preempt_latency self_spawn
-        # Timer re-targeting across KLT-switch rebinds, and a worker whose
-        # timer_create fails running on without ticks.
+        # A worker's tick handed from KLT to KLT across switches with no
+        # timer created or deleted, no timer left by a stopped runtime, the
+        # tick as debug_state reports it, and a worker whose timer_create
+        # fails running on without ticks.
         $pin cargo test -q -p ult-core --test timers
         # The run-next slot an McsMutex grant fills: picked first under
         # every policy, never stranded on a packing-suspended worker, never
@@ -59,9 +61,11 @@ cargo test -q -p ult-model --test protocols waitqueue_
 # The watcher's clear-then-signal order: faithful never loses the watch,
 # signal-then-clear provably does.
 cargo test -q -p ult-model --test protocols watch
-# The dispatch after an owner's own push (which leaves an elided tick
-# alone): re-reading the pools never strands work, trusting the flag does.
-cargo test -q -p ult-model --test protocols tick_dispatch
+# Both tick-elision ports: the elide-vs-push Dekker pairing never strands
+# work and its Release/Acquire weakening provably does; the dispatch after
+# an owner's own push (which leaves an elided tick alone) re-reads the
+# pools and never strands work, trusting the flag provably does.
+cargo test -q -p ult-model --test protocols tick_
 # McsMutex's two races (a waiter that parks at once races every grant):
 # publish-before-PARKED never loses the parked ULT, a Relaxed publication
 # provably does; releaser and enqueuer always agree on the next owner.
