@@ -1,58 +1,11 @@
-//! Debug-only registry mapping stack addresses back to ULT ids.
+//! Diagnostic event ring: a lossy record of recent scheduling events.
 //!
-//! Never unregisters: a lookup hit on a *freed* stack is exactly the
-//! diagnostic signal the crash handlers need. Negligible cost (a few
-//! atomic stores per spawn); compiled in unconditionally but only consulted
-//! by debugging harnesses.
+//! Every spawn, dispatch, preemption, block and wake-up appends one word
+//! ([`event`]); [`recent_events`] reads the last ones back. Compiled in
+//! unconditionally, and async-signal-safe on both sides, so debugging
+//! harnesses and crash handlers can dump it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-const N: usize = 1 << 14;
-
-struct Entry {
-    id: AtomicU64, // ordering: relaxed debug telemetry; lossy ring, torn entries acceptable
-    base: AtomicUsize, // ordering: relaxed debug telemetry; lossy ring, torn entries acceptable
-    top: AtomicUsize, // ordering: relaxed debug telemetry; lossy ring, torn entries acceptable
-}
-
-static ENTRIES: [Entry; N] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const Z: Entry = Entry {
-        id: AtomicU64::new(0),
-        base: AtomicUsize::new(0),
-        top: AtomicUsize::new(0),
-    };
-    [Z; N]
-};
-static NEXT: AtomicUsize = AtomicUsize::new(0); // ordering: counter
-
-/// Record a ULT's stack range.
-pub fn register(id: u64, base: usize, top: usize) {
-    let i = NEXT.fetch_add(1, Ordering::Relaxed) % N;
-    ENTRIES[i].id.store(id, Ordering::Relaxed);
-    ENTRIES[i].base.store(base, Ordering::Relaxed);
-    ENTRIES[i].top.store(top, Ordering::Relaxed);
-}
-
-/// Find the registered stack containing `addr` (including one guard page
-/// below the base). Async-signal-safe (pure atomic loads). Stack ranges are
-/// recycled by the allocator, so multiple registrations may cover `addr`;
-/// the one with the HIGHEST id (most recent) reflects the current owner.
-pub fn lookup(addr: usize) -> Option<(u64, usize, usize)> {
-    let mut best: Option<(u64, usize, usize)> = None;
-    let n = NEXT.load(Ordering::Relaxed).min(N);
-    for e in ENTRIES.iter().take(n) {
-        let base = e.base.load(Ordering::Relaxed);
-        let top = e.top.load(Ordering::Relaxed);
-        if base != 0 && addr >= base.saturating_sub(4096) && addr < top {
-            let id = e.id.load(Ordering::Relaxed);
-            if best.map(|(b, _, _)| id > b).unwrap_or(true) {
-                best = Some((id, base, top));
-            }
-        }
-    }
-    best
-}
 
 /// Event codes for the diagnostic ring (see [`event`]).
 pub mod ev {

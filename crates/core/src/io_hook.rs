@@ -52,43 +52,14 @@
 //! and outlives every runtime; [`io_kick`] resolves its target through the
 //! table of live runtimes and holds that table's lock while it signals, so
 //! a runtime that has left the table is never signalled again.
+//!
+//! The reactor's counters take no hook: each shard embeds a
+//! [`crate::stats::ShardCounters`] block and publishes it once, with
+//! [`crate::stats::publish_shard`], for `Runtime::stats` to read.
 
 use crate::runtime::RuntimeInner;
 use crate::worker::Worker;
 use std::sync::atomic::{AtomicPtr, Ordering};
-
-/// Per-shard reactor counters, surfaced through `Runtime::stats()`.
-///
-/// Returned by the [`IoHooks::shard_stats`] hook so the core crate can fold
-/// reactor activity into the same snapshot as the scheduler counters
-/// without depending on `ult-io`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IoShardStats {
-    /// `epoll_wait` passes (blocking parks + opportunistic polls).
-    pub polls: u64,
-    /// Blocking parks in this shard's `epoll_wait`.
-    pub parks: u64,
-    /// Doorbell eventfd rings aimed at this shard.
-    pub doorbell_rings: u64,
-    /// Readiness deliveries that woke a ULT now homed on another worker.
-    pub cross_shard_wakes: u64,
-    /// fds migrated into this shard by the affinity rebind path.
-    pub fd_rebinds: u64,
-    /// Batched-accept drains (one per listener readiness, ≥1 conn each).
-    pub batched_accepts: u64,
-    /// Connections accepted via the batched `accept4` loop.
-    pub accepted: u64,
-    /// Buffer-pool acquisitions served from a free list.
-    pub bufpool_hits: u64,
-    /// Buffer-pool acquisitions that had to allocate.
-    pub bufpool_misses: u64,
-    /// Times a busy worker handed this shard to the watcher ([`IoHooks::watch`]
-    /// found it unwatched and armed it).
-    pub watch_arms: u64,
-    /// Watcher wake-ups that sent no signal: the owner was parked in its own
-    /// `epoll_wait`, had nothing preemptible running, or its runtime was gone.
-    pub watch_skips: u64,
-}
 
 /// Reactor entry points registered by `ult-io`. All take the worker rank
 /// they operate on behalf of; the reactor maps ranks to shards.
@@ -114,8 +85,6 @@ pub struct IoHooks {
     /// idle. The implementation rate-limits itself unless `force` is set;
     /// callers invoke it every loop.
     pub poll: fn(r: usize, force: bool),
-    /// Counter snapshot for shard `r` (zeros for a never-touched shard).
-    pub shard_stats: fn(r: usize) -> IoShardStats,
     /// Does shard `r` hold armed fd interest or pending timer deadlines?
     /// The tick-elision state machine consults this before disarming a
     /// busy worker's timer: with the tick gone there are no dispatch
@@ -198,11 +167,6 @@ pub fn io_kick(owner: u64) -> bool {
     rt.workers
         .get(rank)
         .is_some_and(|w| crate::preempt::tick::io_kick(w))
-}
-
-/// Reactor stats for shard `r`, if a reactor is registered.
-pub(crate) fn shard_stats(r: usize) -> IoShardStats {
-    hooks().map(|h| (h.shard_stats)(r)).unwrap_or_default()
 }
 
 /// Does this worker's reactor shard have armed waiters (fd interest or

@@ -302,8 +302,6 @@ pub(crate) struct KltCreator {
     pub wake: Futex,
     /// Shutdown flag.
     pub shutdown: AtomicBool, // ordering: acqrel
-    /// Count of KLTs created by the creator (stats; Figure 6 analysis).
-    pub created: AtomicUsize, // ordering: counter
 }
 
 impl KltCreator {
@@ -312,7 +310,6 @@ impl KltCreator {
             pending: AtomicUsize::new(0),
             wake: Futex::new(),
             shutdown: AtomicBool::new(false),
-            created: AtomicUsize::new(0),
         }
     }
 

@@ -73,9 +73,7 @@ pub use api::{
     SpawnAttrs,
 };
 pub use config::{Config, SchedPolicy, TimerStrategy};
-pub use io_hook::{
-    io_kick, kick_worker, reactor_wait_done, register_io_hooks, IoHooks, IoShardStats,
-};
+pub use io_hook::{io_kick, kick_worker, reactor_wait_done, register_io_hooks, IoHooks};
 pub use runtime::Runtime;
 pub use stats::RuntimeStats;
 pub use thread::{JoinHandle, Priority, SchedClass, ThreadKind, Ult, UltState};

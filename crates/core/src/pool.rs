@@ -469,10 +469,11 @@ impl ThreadPool {
         self.inbox_count.fetch_sub(n, Ordering::Release);
     }
 
-    /// Take the oldest inbox item from any thread (steal path; used when
-    /// the owner is busy or — under the Packing scheduler — suspended).
-    /// Remaining items are relinked, preserving their relative order.
-    fn inbox_take_oldest(&self) -> Option<Arc<Ult>> {
+    /// Take the oldest inbox item `want` accepts (any thread: the steal
+    /// path, used when the owner is busy or — under the Packing scheduler —
+    /// suspended, and the latency preference). Every other item is
+    /// relinked, preserving the relative order.
+    fn inbox_take(&self, want: impl Fn(&Ult) -> bool) -> Option<Arc<Ult>> {
         if self.inbox_head.0.load(Ordering::Acquire).is_null() {
             return None;
         }
@@ -480,9 +481,6 @@ impl ThreadPool {
             .inbox_head
             .0
             .swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if head.is_null() {
-            return None;
-        }
         // Reverse to oldest-first.
         let mut rev: *mut Ult = std::ptr::null_mut();
         while !head.is_null() {
@@ -493,20 +491,27 @@ impl ThreadPool {
             rev = head;
             head = next;
         }
-        let taken = rev;
-        // SAFETY: `taken` is non-null (checked above).
-        let mut rest = unsafe { (*taken).pool_next.load(Ordering::Relaxed) };
-        // Relink the remainder oldest-first so the head ends newest-first
-        // again; concurrent producers interleave harmlessly.
-        while !rest.is_null() {
+        // Walk oldest-first: keep the first wanted node, relink the rest in
+        // order (so the head ends newest-first again; concurrent producers
+        // interleave harmlessly).
+        let mut taken: *mut Ult = std::ptr::null_mut();
+        let mut cur = rev;
+        while !cur.is_null() {
             // SAFETY: as above.
-            let next = unsafe { (*rest).pool_next.load(Ordering::Relaxed) };
-            self.inbox_push_raw(rest);
-            rest = next;
+            let next = unsafe { (*cur).pool_next.load(Ordering::Relaxed) };
+            // SAFETY: as above; `want` reads fields that are immutable while
+            // the descriptor is queued.
+            if taken.is_null() && want(unsafe { &*cur }) {
+                taken = cur;
+            } else {
+                self.inbox_push_raw(cur);
+            }
+            cur = next;
         }
+        let taken = std::ptr::NonNull::new(taken)?;
         self.inbox_count.fetch_sub(1, Ordering::Release);
         // SAFETY: `taken` came from `Arc::into_raw` in a push.
-        let t = unsafe { Arc::from_raw(taken as *const Ult) };
+        let t = unsafe { Arc::from_raw(taken.as_ptr() as *const Ult) };
         self.note_taken(&t);
         t.in_pool.store(false, Ordering::Release);
         Some(t)
@@ -535,50 +540,10 @@ impl ThreadPool {
     /// already in the deque. Returns `None` when the inbox holds no latency
     /// item (e.g. the counted item sits in the deque or was claimed).
     pub fn take_latency_inbox(&self) -> Option<Arc<Ult>> {
-        if self.lat_count.load(Ordering::Acquire) == 0
-            || self.inbox_head.0.load(Ordering::Acquire).is_null()
-        {
+        if self.lat_count.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let mut head = self
-            .inbox_head
-            .0
-            .swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if head.is_null() {
-            return None;
-        }
-        // Reverse to oldest-first.
-        let mut rev: *mut Ult = std::ptr::null_mut();
-        while !head.is_null() {
-            // SAFETY: exclusively unlinked chain of live Arcs.
-            let next = unsafe { (*head).pool_next.load(Ordering::Relaxed) };
-            // SAFETY: as above.
-            unsafe { (*head).pool_next.store(rev, Ordering::Relaxed) };
-            rev = head;
-            head = next;
-        }
-        // Walk oldest-first: keep the first latency node, relink the rest
-        // in order (so the head ends newest-first again).
-        let mut taken: *mut Ult = std::ptr::null_mut();
-        let mut cur = rev;
-        while !cur.is_null() {
-            // SAFETY: as above.
-            let next = unsafe { (*cur).pool_next.load(Ordering::Relaxed) };
-            // SAFETY: `class` is immutable while the descriptor is queued.
-            if taken.is_null() && unsafe { (*cur).class } == SchedClass::Latency {
-                taken = cur;
-            } else {
-                self.inbox_push_raw(cur);
-            }
-            cur = next;
-        }
-        let taken = std::ptr::NonNull::new(taken)?;
-        self.inbox_count.fetch_sub(1, Ordering::Release);
-        self.lat_count.fetch_sub(1, Ordering::Release);
-        // SAFETY: `taken` came from `Arc::into_raw` in a push.
-        let t = unsafe { Arc::from_raw(taken.as_ptr() as *const Ult) };
-        t.in_pool.store(false, Ordering::Release);
-        Some(t)
+        self.inbox_take(|u| u.class == SchedClass::Latency)
     }
 
     /// Claim the top (oldest) element: the FIFO pop and the steal share
@@ -679,7 +644,7 @@ impl ThreadPool {
     /// remote inbox, so queued work is never stranded behind a busy or
     /// suspended owner.
     pub fn steal(&self) -> Option<Arc<Ult>> {
-        self.take_top().or_else(|| self.inbox_take_oldest())
+        self.take_top().or_else(|| self.inbox_take(|_| true))
     }
 
     /// Approximate length (exact between operations; may transiently

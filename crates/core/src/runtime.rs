@@ -10,7 +10,7 @@
 use crate::config::{Config, TimerStrategy};
 use crate::klt::{bind_current_klt, unbind_current_klt, Directive, Klt, KltCreator, KltPool};
 use crate::preempt::tick;
-use crate::stats::RuntimeStats;
+use crate::stats::{RuntimeCounters, RuntimeStats};
 use crate::thread::{JoinHandle, Priority, ResultCell, SchedClass, ThreadKind, Ult};
 use crate::worker::Worker;
 use parking_lot::Mutex;
@@ -44,6 +44,8 @@ pub(crate) struct RuntimeInner {
     pub global_klts: KltPool,
     /// The KLT-creator request mailbox.
     pub creator: KltCreator,
+    /// The runtime-scope counters (`stats.rs`).
+    pub counters: RuntimeCounters,
     /// Whether timers, and so tick elision, are in play
     /// (`preempt_interval_ns > 0` and a real timer strategy). Precomputed so
     /// hot paths pay one bool load.
@@ -102,6 +104,7 @@ impl RuntimeInner {
             coarse_slack_ns,
             global_klts: KltPool::new(usize::MAX),
             creator: KltCreator::new(),
+            counters: RuntimeCounters::new(),
             shutdown: AtomicBool::new(false),
             active_workers: AtomicUsize::new(n),
             live_ults: AtomicUsize::new(0),
@@ -354,7 +357,6 @@ impl RuntimeInner {
             }
         }
         let stack = stack.unwrap_or_else(|| Stack::new(stack_size).expect("ULT stack allocation"));
-        crate::debug_registry::register(id, stack.base() as usize, stack.top() as usize);
         crate::debug_registry::event(crate::debug_registry::ev::SPAWN, id, home as u64);
 
         // Recycle a finished descriptor when one is free: reuses the
@@ -540,7 +542,7 @@ fn creator_main(rt: Arc<RuntimeInner>) {
                 continue;
             }
             rt.start_klt(None);
-            rt.creator.created.fetch_add(1, Ordering::Relaxed);
+            rt.counters.klts_created.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -683,34 +685,7 @@ impl Runtime {
 
     /// Aggregate statistics snapshot.
     pub fn stats(&self) -> RuntimeStats {
-        let mut s = RuntimeStats::default();
-        for w in self.inner.workers.iter() {
-            s.add_worker(&w.stats);
-            let io = crate::io_hook::shard_stats(w.rank);
-            s.io_polls += io.polls;
-            s.io_parks += io.parks;
-            s.io_doorbell_rings += io.doorbell_rings;
-            s.io_cross_shard_wakes += io.cross_shard_wakes;
-            s.io_fd_rebinds += io.fd_rebinds;
-            s.io_batched_accepts += io.batched_accepts;
-            s.io_accepted += io.accepted;
-            s.io_bufpool_hits += io.bufpool_hits;
-            s.io_bufpool_misses += io.bufpool_misses;
-            s.io_watch_arms += io.watch_arms;
-            s.io_watch_skips += io.watch_skips;
-        }
-        s.klts_created = self.inner.creator.created.load(Ordering::Relaxed) as u64;
-        // Process-global (ult-sync sits above ult-core, so its primitives
-        // cannot reach per-worker stats): monotonic, shared by all runtimes.
-        let sc = crate::stats::sync_counters();
-        s.mcs_handoffs = sc.mcs_handoffs.load(Ordering::Relaxed);
-        s.mcs_suspends = sc.mcs_suspends.load(Ordering::Relaxed);
-        s.async_tasks = sc.async_tasks.load(Ordering::Relaxed);
-        s.async_unparks = sc.async_unparks.load(Ordering::Relaxed);
-        s.blocking_jobs = sc.blocking_jobs.load(Ordering::Relaxed);
-        s.blocking_klts_spawned = sc.blocking_klts_spawned.load(Ordering::Relaxed);
-        s.blocking_klts_harvested = sc.blocking_klts_harvested.load(Ordering::Relaxed);
-        s
+        RuntimeStats::of(&self.inner)
     }
 
     /// Diagnostic snapshot of per-worker scheduler state (for debugging
@@ -735,11 +710,10 @@ impl Runtime {
                 unsafe { (*kp).id }
             };
             let (elided, armed) = tick::debug_view(w);
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "worker {}: idle={} pool={} lo={} current=u{} klt={} disabled={} \
-                 elided={} timer_armed={} preempt={} stale={} suppressed={} misses={} \
-                 ticks={} filtered={} elisions={} rearmed={} overruns={}",
+                 elided={} timer_armed={}",
                 w.rank,
                 w.idle.load(Ordering::Acquire),
                 w.pool.len(),
@@ -749,16 +723,11 @@ impl Runtime {
                 w.preempt_disabled.0.load(Ordering::Acquire),
                 elided,
                 armed,
-                w.stats.preemptions.load(Ordering::Relaxed),
-                w.stats.stale_ticks.load(Ordering::Relaxed),
-                w.stats.suppressed_ticks.load(Ordering::Relaxed),
-                w.stats.klt_misses.load(Ordering::Relaxed),
-                w.stats.timer_ticks.load(Ordering::Relaxed),
-                w.stats.filtered_ticks.load(Ordering::Relaxed),
-                w.stats.tick_elisions.load(Ordering::Relaxed),
-                w.stats.tick_rearms.load(Ordering::Relaxed),
-                w.stats.timer_overruns.load(Ordering::Relaxed),
             );
+            for (name, v) in w.stats.counters() {
+                let _ = write!(out, " {name}={v}");
+            }
+            out.push('\n');
         }
         out
     }

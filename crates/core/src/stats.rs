@@ -12,9 +12,35 @@
 //!
 //! All writers are signal handlers or schedulers, so everything is atomics
 //! over pre-allocated memory.
+//!
+//! # One table
+//!
+//! Every counter is declared once, in the `counters!` table below: its
+//! name, one doc comment, and the scope whose block holds it.
+//!
+//! * **worker** — [`WorkerStats`], one per worker, inside the worker; written
+//!   by that worker's scheduler and signal handlers.
+//! * **shard** — [`ShardCounters`], one per `ult-io` reactor shard, embedded
+//!   in the shard and published here by [`publish_shard`]. Several ranks
+//!   may share a shard (more workers than shards); the fold takes it once,
+//!   by its canonical rank, the rank equal to its index.
+//! * **rank** — [`RankCounters`], one per rank slot ([`rank_counters`]),
+//!   process-wide: `ult-io`'s buffer pools are per rank, not per shard, and
+//!   serve threads outside any runtime as rank 0.
+//! * **runtime** — [`RuntimeCounters`], one per runtime.
+//! * **process** — [`ProcessCounters`], one static ([`sync_counters`]).
+//!   `ult-sync`, `ult-io` and `ult-future` sit above `ult-core` in the crate
+//!   graph and cannot reach a runtime's blocks, so they bump these; they are
+//!   monotonic over the process and shared by every runtime in it.
+//!
+//! From the table come each block, [`RuntimeStats`] (one `u64` per counter,
+//! same name, same doc) and the fold [`crate::Runtime::stats`] runs, which
+//! sums every block of the runtime once. Each block stays where it is
+//! written: the worker's inside `Worker`, the shard's inside `Shard`.
 
+use crate::runtime::RuntimeInner;
 use crate::thread::ThreadKind;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// Fixed-capacity ring of u64 samples, written from signal handlers.
 pub struct SampleRing {
@@ -66,17 +92,46 @@ const KIND_NONPREEMPTIVE: u8 = 1;
 const KIND_SIGNAL_YIELD: u8 = 2;
 const KIND_KLT_SWITCHING: u8 = 3;
 
-/// Declares the per-worker counters once and generates, from that one
-/// table, the [`WorkerStats`] fields, their initialisers, the
-/// [`RuntimeStats`] fields and the fold between the two. An entry reads:
-/// per-worker doc, name, doc of the sum over workers, `u64`.
-macro_rules! worker_counters {
-    ($($(#[$wdoc:meta])* $name:ident: $(#[$rdoc:meta])* u64;)*) => {
-        /// Per-worker statistics.
+/// A block of counters of one scope, with its fold into [`RuntimeStats`].
+macro_rules! counter_block {
+    ($(#[$bdoc:meta])* $block:ident { $($(#[$doc:meta])* $name:ident,)* }) => {
+        $(#[$bdoc])*
+        #[derive(Default)]
+        pub struct $block {
+            $($(#[$doc])* pub $name: AtomicU64,)* // ordering: counter
+        }
+
+        impl $block {
+            /// Every counter at zero.
+            pub const fn new() -> $block {
+                $block { $($name: AtomicU64::new(0),)* }
+            }
+
+            /// Add this block's counters into `s`.
+            pub fn add_to(&self, s: &mut RuntimeStats) {
+                $(s.$name += self.$name.load(Ordering::Relaxed);)*
+            }
+        }
+    };
+}
+
+/// Generates from the counter table: the block of every scope,
+/// [`RuntimeStats`], the fold of each block into it, and the test that
+/// every counter reaches the snapshot exactly once.
+macro_rules! counters {
+    (
+        worker { $($(#[$wd:meta])* $w:ident,)* }
+        shard { $($(#[$sd:meta])* $s:ident,)* }
+        rank { $($(#[$rd:meta])* $r:ident,)* }
+        runtime { $($(#[$td:meta])* $t:ident,)* }
+        process { $($(#[$pd:meta])* $p:ident,)* }
+    ) => {
+        /// Per-worker statistics: the worker counters, the interruption
+        /// samples and the running thread's kind mirror.
         pub struct WorkerStats {
             /// Mirror of the current thread's kind (see constants above).
             current_kind: AtomicU8, // ordering: acqrel kind mirror read by other workers' handlers
-            $($(#[$wdoc])* pub $name: AtomicU64,)* // ordering: counter
+            $($(#[$wd])* pub $w: AtomicU64,)* // ordering: counter
             /// Interruption-time samples (handler entry → switch/return), ns.
             pub interrupt_ns: SampleRing,
         }
@@ -86,167 +141,207 @@ macro_rules! worker_counters {
             pub fn new(samples: usize) -> WorkerStats {
                 WorkerStats {
                     current_kind: AtomicU8::new(KIND_NONE),
-                    $($name: AtomicU64::new(0),)*
+                    $($w: AtomicU64::new(0),)*
                     interrupt_ns: SampleRing::new(samples),
                 }
             }
+
+            /// Add this worker's counters and interruption samples into `s`.
+            pub fn add_to(&self, s: &mut RuntimeStats) {
+                $(s.$w += self.$w.load(Ordering::Relaxed);)*
+                s.interrupt_samples_ns.extend(self.interrupt_ns.snapshot());
+            }
+
+            /// Every counter as (table name, value), in table order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+                [$((stringify!($w), &self.$w)),*]
+                    .into_iter()
+                    .map(|(name, c)| (name, c.load(Ordering::Relaxed)))
+            }
         }
 
-        /// Aggregated snapshot across all workers (public API).
+        counter_block! {
+            /// One reactor shard's counters (see the module docs).
+            ShardCounters { $($(#[$sd])* $s,)* }
+        }
+        counter_block! {
+            /// One rank slot's counters (see the module docs).
+            RankCounters { $($(#[$rd])* $r,)* }
+        }
+        counter_block! {
+            /// One runtime's own counters.
+            RuntimeCounters { $($(#[$td])* $t,)* }
+        }
+        counter_block! {
+            /// The process-wide counters (see [`sync_counters`]).
+            ProcessCounters { $($(#[$pd])* $p,)* }
+        }
+
+        /// Snapshot of a runtime's counters, each the sum over the blocks
+        /// that hold it (public API).
         #[derive(Debug, Clone, Default)]
         pub struct RuntimeStats {
-            $($(#[$rdoc])* pub $name: u64,)*
-            /// MCS mutex: lock handoffs published to a queued successor
-            /// (process-global; see [`sync_counters`]).
-            pub mcs_handoffs: u64,
-            /// MCS mutex: waiters that found the lock taken and parked as
-            /// ULTs (process-global; see [`sync_counters`]).
-            pub mcs_suspends: u64,
-            /// Async tasks spawned by `ult-future` (process-global).
-            pub async_tasks: u64,
-            /// Async task wakes that resumed a parked ULT (process-global).
-            pub async_unparks: u64,
-            /// `spawn_blocking` jobs submitted to the offload pool (process-global).
-            pub blocking_jobs: u64,
-            /// Offload-pool KLTs spawned (process-global).
-            pub blocking_klts_spawned: u64,
-            /// Offload-pool KLTs harvested after idling out (process-global).
-            pub blocking_klts_harvested: u64,
-            /// KLTs created on demand by the creator thread.
-            pub klts_created: u64,
-            /// Reactor: `epoll_wait` passes summed over all shards (parks + polls).
-            pub io_polls: u64,
-            /// Reactor: blocking parks in a shard's `epoll_wait`.
-            pub io_parks: u64,
-            /// Reactor: doorbell eventfd rings.
-            pub io_doorbell_rings: u64,
-            /// Reactor: readiness deliveries that woke a ULT homed on another worker.
-            pub io_cross_shard_wakes: u64,
-            /// Reactor: fds migrated between shards by the affinity rebind path.
-            pub io_fd_rebinds: u64,
-            /// Reactor: batched-accept drains (one per listener readiness).
-            pub io_batched_accepts: u64,
-            /// Reactor: connections accepted via the batched `accept4` loop.
-            pub io_accepted: u64,
-            /// Reactor: I/O buffer acquisitions served from a free list.
-            pub io_bufpool_hits: u64,
-            /// Reactor: I/O buffer acquisitions that had to allocate.
-            pub io_bufpool_misses: u64,
-            /// Reactor: times a busy worker handed its shard to the watcher thread.
-            pub io_watch_arms: u64,
-            /// Reactor: watcher wake-ups that needed no signal (owner parked in its
-            /// own `epoll_wait`, nothing preemptible running, or runtime gone).
-            pub io_watch_skips: u64,
+            $($(#[$wd])* pub $w: u64,)*
+            $($(#[$sd])* pub $s: u64,)*
+            $($(#[$rd])* pub $r: u64,)*
+            $($(#[$td])* pub $t: u64,)*
+            $($(#[$pd])* pub $p: u64,)*
             /// All interruption samples (ns), concatenated across workers.
             pub interrupt_samples_ns: Vec<u64>,
         }
 
-        impl RuntimeStats {
-            /// Fold one worker's counters and interruption samples in.
-            pub(crate) fn add_worker(&mut self, w: &WorkerStats) {
-                $(self.$name += w.$name.load(Ordering::Relaxed);)*
-                self.interrupt_samples_ns.extend(w.interrupt_ns.snapshot());
+        #[cfg(test)]
+        mod table_tests {
+            use super::*;
+
+            /// Bumps every counter of the table by an amount of its own in
+            /// every block the fold reads — the second worker, shard and
+            /// rank slot by 1000× the first's — and finds each amount in its
+            /// own `RuntimeStats` field, counted once.
+            #[test]
+            fn every_counter_is_folded_exactly_once() {
+                const K: u64 = 1000;
+                let rt = RuntimeInner::new(crate::Config {
+                    num_workers: 2,
+                    ..crate::Config::default()
+                });
+                let shards = [0, 1].map(|i| {
+                    let sh: &'static ShardCounters = Box::leak(Box::default());
+                    publish_shard(i, sh);
+                    sh
+                });
+                let before = RuntimeStats::of(&rt);
+                let (w0, w1) = (&rt.workers[0].stats, &rt.workers[1].stats);
+                let mut k = 0;
+                $(k += 1; w0.$w.fetch_add(k, Ordering::Relaxed); w1.$w.fetch_add(K * k, Ordering::Relaxed);)*
+                $(k += 1; shards[0].$s.fetch_add(k, Ordering::Relaxed); shards[1].$s.fetch_add(K * k, Ordering::Relaxed);)*
+                $(k += 1; rank_counters(0).$r.fetch_add(k, Ordering::Relaxed); rank_counters(1).$r.fetch_add(K * k, Ordering::Relaxed);)*
+                $(k += 1; rt.counters.$t.fetch_add(k, Ordering::Relaxed);)*
+                $(k += 1; sync_counters().$p.fetch_add(k, Ordering::Relaxed);)*
+                let after = RuntimeStats::of(&rt);
+                let mut k = 0;
+                $(k += 1; assert_eq!(after.$w - before.$w, (1 + K) * k, stringify!($w));)*
+                $(k += 1; assert_eq!(after.$s - before.$s, (1 + K) * k, stringify!($s));)*
+                $(k += 1; assert_eq!(after.$r - before.$r, (1 + K) * k, stringify!($r));)*
+                $(k += 1; assert_eq!(after.$t - before.$t, k, stringify!($t));)*
+                $(k += 1; assert_eq!(after.$p - before.$p, k, stringify!($p));)*
             }
         }
     };
 }
 
-worker_counters! {
-    /// Completed preemptions (both techniques).
-    preemptions:
-    /// Completed preemptions (both techniques).
-    u64;
-    /// Preemptions performed via KLT-switching.
-    klt_switches:
-    /// KLT-switching preemptions.
-    u64;
-    /// Captive resumes performed by this worker's scheduler.
-    captive_resumes:
-    /// Captive resumes.
-    u64;
-    /// Ticks deferred because the runtime had preemption disabled.
-    deferred_ticks:
-    /// Ticks deferred in critical sections.
-    u64;
-    /// Ticks dropped because this KLT no longer embodies the worker.
-    stale_ticks:
-    /// Stale ticks dropped.
-    u64;
-    /// Ticks suppressed by the echo filter after a recent preemption.
-    suppressed_ticks:
-    /// Echo-suppressed ticks.
-    u64;
-    /// KLT-switching attempts aborted for lack of a pooled KLT.
-    klt_misses:
-    /// KLT pool misses (creator requests issued from handlers).
-    u64;
-    /// Preemption ticks (timer signals) whose handler ran on this worker.
-    timer_ticks:
-    /// Preemption ticks whose handler ran on some worker.
-    u64;
-    /// Ticks dismissed by the coarse-clock deadline filter before touching
-    /// any scheduler state (the cheap "too early" exit).
-    filtered_ticks:
-    /// Ticks dismissed by the coarse-clock deadline filter.
-    u64;
-    /// Times this worker's periodic tick was elided (timer disarmed)
-    /// because it had ≤1 runnable ULT.
-    tick_elisions:
-    /// Periodic ticks elided (timer disarmed with ≤1 runnable ULT).
-    u64;
-    /// Times an elided tick was re-armed (work arrived: spawn/ready/steal).
-    tick_rearms:
-    /// Elided ticks re-armed after work arrived.
-    u64;
-    /// Timer expirations the kernel coalesced (`timer_getoverrun`): ticks
-    /// that were generated but never delivered as distinct signals.
-    timer_overruns:
-    /// Kernel-coalesced timer expirations (`timer_getoverrun`).
-    u64;
-    /// KLTs started for this worker (worker 0: the spares) whose
-    /// `timer_create` failed; whichever worker such a KLT embodies runs
-    /// without ticks meanwhile.
-    timer_create_failures:
-    /// Failed `timer_create` calls (KLTs left without a timer).
-    u64;
-    /// Threads run to completion on this worker.
-    completed:
-    /// Threads completed.
-    u64;
-    /// Threads stolen from other workers' pools.
-    steals:
-    /// Steal operations.
-    u64;
-    /// Futex unparks issued to this worker (wake-storm regression metric:
-    /// the Packing scheduler used to unpark *every* active worker per
-    /// ready event).
-    unparks:
-    /// Worker unparks issued (wake-storm regression metric).
-    u64;
-    /// Adaptive-quantum shrinks (queued latency work or excessive dispatch
-    /// delay drove the interval toward the floor).
-    quantum_shrinks:
-    /// Adaptive-quantum shrinks across all workers.
-    u64;
-    /// Adaptive-quantum stretches (only throughput work running drove the
-    /// interval toward the ceiling).
-    quantum_stretches:
-    /// Adaptive-quantum stretches across all workers.
-    u64;
-    /// Dispatches of `SchedClass::Latency` ULTs on this worker.
-    latency_dispatches:
-    /// Dispatches of latency-class ULTs.
-    u64;
-    /// Dispatches of `SchedClass::Throughput` ULTs on this worker.
-    throughput_dispatches:
-    /// Dispatches of throughput-class ULTs.
-    u64;
-    /// Preemptions caused by the reactor watcher (`io_hook::io_kick`): fd
-    /// readiness took the CPU from this worker's occupant ahead of the tick.
-    io_preempts:
-    /// Preemptions caused by fd readiness (the reactor watcher's kick)
-    /// rather than by a timer tick.
-    u64;
+counters! {
+    worker {
+        /// Completed preemptions (both techniques).
+        preemptions,
+        /// Preemptions performed via KLT-switching.
+        klt_switches,
+        /// Captive resumes performed by a worker's scheduler.
+        captive_resumes,
+        /// Ticks deferred because preemption was disabled (critical
+        /// sections).
+        deferred_ticks,
+        /// Ticks dropped because their KLT no longer embodied the worker.
+        stale_ticks,
+        /// Ticks suppressed by the echo filter after a recent preemption.
+        suppressed_ticks,
+        /// KLT-switching attempts aborted for lack of a pooled KLT (each
+        /// issues a request to the KLT creator).
+        klt_misses,
+        /// Preemption ticks (timer signals) whose handler ran on a worker.
+        timer_ticks,
+        /// Ticks dismissed by the coarse-clock deadline filter before
+        /// touching any scheduler state (the cheap "too early" exit).
+        filtered_ticks,
+        /// Periodic ticks elided: the worker's timer disarmed because it had
+        /// ≤1 runnable ULT.
+        tick_elisions,
+        /// Elided ticks re-armed because work arrived (spawn/ready/steal).
+        tick_rearms,
+        /// Timer expirations the kernel coalesced (`timer_getoverrun`):
+        /// ticks that were generated but never delivered as distinct signals.
+        timer_overruns,
+        /// KLTs started for a worker (worker 0: the spares) whose
+        /// `timer_create` failed; whichever worker such a KLT embodies runs
+        /// without ticks meanwhile.
+        timer_create_failures,
+        /// Threads run to completion.
+        completed,
+        /// Threads stolen from other workers' pools.
+        steals,
+        /// Futex unparks issued to a worker (wake-storm regression metric:
+        /// the Packing scheduler used to unpark *every* active worker per
+        /// ready event).
+        unparks,
+        /// Adaptive-quantum shrinks (queued latency work or excessive
+        /// dispatch delay drove the interval toward the floor).
+        quantum_shrinks,
+        /// Adaptive-quantum stretches (only throughput work running drove
+        /// the interval toward the ceiling).
+        quantum_stretches,
+        /// Dispatches of `SchedClass::Latency` ULTs.
+        latency_dispatches,
+        /// Dispatches of `SchedClass::Throughput` ULTs.
+        throughput_dispatches,
+        /// Preemptions caused by the reactor watcher (`io_hook::io_kick`):
+        /// fd readiness took the CPU from a worker's occupant ahead of the
+        /// tick.
+        io_preempts,
+    }
+    shard {
+        /// Reactor: `epoll_wait` passes (blocking parks + opportunistic
+        /// polls).
+        io_polls,
+        /// Reactor: blocking parks in a shard's `epoll_wait`.
+        io_parks,
+        /// Reactor: doorbell eventfd rings.
+        io_doorbell_rings,
+        /// Reactor: readiness deliveries that woke a ULT homed on another
+        /// worker.
+        io_cross_shard_wakes,
+        /// Reactor: fds migrated into a shard by the affinity rebind path.
+        io_fd_rebinds,
+        /// Reactor: batched-accept drains (one per listener readiness, ≥1
+        /// connection each).
+        io_batched_accepts,
+        /// Reactor: connections accepted via the batched `accept4` loop.
+        io_accepted,
+        /// Reactor: times a busy worker handed its shard to the watcher
+        /// thread (`IoHooks::watch` found it unwatched and armed it).
+        io_watch_arms,
+        /// Reactor: watcher wake-ups that sent no signal (the owner was
+        /// parked in its own `epoll_wait`, had nothing preemptible running,
+        /// or its runtime was gone).
+        io_watch_skips,
+    }
+    rank {
+        /// Reactor: I/O buffer acquisitions served from a free list.
+        io_bufpool_hits,
+        /// Reactor: I/O buffer acquisitions that had to allocate.
+        io_bufpool_misses,
+    }
+    runtime {
+        /// KLTs created on demand by the KLT-creator thread.
+        klts_created,
+    }
+    process {
+        /// MCS mutex: lock handoffs published to a queued successor.
+        mcs_handoffs,
+        /// MCS mutex: waiters that found the lock taken and parked as ULTs.
+        mcs_suspends,
+        /// `ult-future`: async tasks spawned (each rides one ULT).
+        async_tasks,
+        /// `ult-future`: task wakes that claimed a parked ULT
+        /// (`make_ready`).
+        async_unparks,
+        /// `ult-future`: `spawn_blocking` jobs submitted to the offload
+        /// pool.
+        blocking_jobs,
+        /// `ult-future`: offload-pool KLTs spawned (elastic growth).
+        blocking_klts_spawned,
+        /// `ult-future`: offload-pool KLTs harvested after idling out.
+        blocking_klts_harvested,
+    }
 }
 
 impl WorkerStats {
@@ -283,46 +378,63 @@ impl WorkerStats {
     }
 }
 
-/// Process-global counters reported by ULT-aware sync primitives.
-///
-/// `ult-sync` sits above `ult-core` in the crate graph, so its primitives
-/// cannot reach a specific runtime's `WorkerStats`; instead they bump these
-/// process-wide counters, which [`crate::Runtime::stats`] folds into its
-/// snapshot. Monotonic over the process lifetime (never reset), shared by
-/// all runtimes in the process.
-pub struct SyncCounters {
-    /// MCS mutex: handoffs published to a queued successor.
-    pub mcs_handoffs: AtomicU64, // ordering: counter
-    /// MCS mutex: waiters that found the lock taken and parked as ULTs.
-    pub mcs_suspends: AtomicU64, // ordering: counter
-    /// `ult-future`: async tasks spawned (each rides one ULT).
-    pub async_tasks: AtomicU64, // ordering: counter
-    /// `ult-future`: task wakes that claimed a parked ULT (`make_ready`).
-    pub async_unparks: AtomicU64, // ordering: counter
-    /// `ult-future`: `spawn_blocking` jobs submitted to the offload pool.
-    pub blocking_jobs: AtomicU64, // ordering: counter
-    /// `ult-future`: offload-pool KLTs spawned (elastic growth).
-    pub blocking_klts_spawned: AtomicU64, // ordering: counter
-    /// `ult-future`: offload-pool KLTs harvested after idling out.
-    pub blocking_klts_harvested: AtomicU64, // ordering: counter
+/// Rank slots, and the capacity of `ult-io`'s shard table.
+pub const MAX_SHARDS: usize = 64;
+
+/// Reactor shards' counter blocks by shard index (null: no such shard yet).
+// ordering: acqrel write-once publication
+static SHARDS: [AtomicPtr<ShardCounters>; MAX_SHARDS] =
+    [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_SHARDS];
+
+/// Publish shard `idx`'s counter block; `ult-io` calls this once per shard,
+/// as it creates the shard.
+pub fn publish_shard(idx: usize, counters: &'static ShardCounters) {
+    SHARDS[idx].store(
+        counters as *const ShardCounters as *mut ShardCounters,
+        Ordering::Release,
+    );
 }
 
-static SYNC_COUNTERS: SyncCounters = SyncCounters {
-    mcs_handoffs: AtomicU64::new(0),
-    mcs_suspends: AtomicU64::new(0),
-    async_tasks: AtomicU64::new(0),
-    async_unparks: AtomicU64::new(0),
-    blocking_jobs: AtomicU64::new(0),
-    blocking_klts_spawned: AtomicU64::new(0),
-    blocking_klts_harvested: AtomicU64::new(0),
-};
+/// Shard `idx`'s counter block, if that shard exists.
+pub fn shard_counters(idx: usize) -> Option<&'static ShardCounters> {
+    // SAFETY: published pointers come from `&'static` references.
+    SHARDS
+        .get(idx)
+        .and_then(|p| unsafe { p.load(Ordering::Acquire).as_ref() })
+}
 
-/// The process-global sync-primitive counters (see [`SyncCounters`]).
-pub fn sync_counters() -> &'static SyncCounters {
-    &SYNC_COUNTERS
+static RANKS: [RankCounters; MAX_SHARDS] = [const { RankCounters::new() }; MAX_SHARDS];
+
+/// The counter block of `rank`'s slot (`rank % MAX_SHARDS`).
+pub fn rank_counters(rank: usize) -> &'static RankCounters {
+    &RANKS[rank % MAX_SHARDS]
+}
+
+static PROCESS: ProcessCounters = ProcessCounters::new();
+
+/// The process-wide counters (see the module docs).
+pub fn sync_counters() -> &'static ProcessCounters {
+    &PROCESS
 }
 
 impl RuntimeStats {
+    /// Snapshot of `rt`: every block of the runtime, each once.
+    pub(crate) fn of(rt: &RuntimeInner) -> RuntimeStats {
+        let mut s = RuntimeStats::default();
+        for w in rt.workers.iter() {
+            w.stats.add_to(&mut s);
+            // A shard's canonical rank is its index, so a shard shared by
+            // several ranks is folded once, by that one.
+            if let Some(sh) = shard_counters(w.rank) {
+                sh.add_to(&mut s);
+            }
+            rank_counters(w.rank).add_to(&mut s);
+        }
+        rt.counters.add_to(&mut s);
+        PROCESS.add_to(&mut s);
+        s
+    }
+
     /// Mean of the interruption samples in nanoseconds.
     pub fn mean_interrupt_ns(&self) -> f64 {
         if self.interrupt_samples_ns.is_empty() {

@@ -7,7 +7,8 @@
 //! steady state, because a worker recycles what it acquired), overflowing
 //! into a bounded **global free list** when a buffer is dropped on a
 //! different worker than it was acquired on. Only when both lists are
-//! empty does an acquire touch the allocator (counted as a miss).
+//! empty does an acquire touch the allocator (counted as a miss). Hits and
+//! misses count in the acquiring rank's `ult_core::stats::RankCounters`.
 //!
 //! The free lists are leaf locks: nothing else is ever acquired while one
 //! is held, and the per-worker and global lists are popped/pushed strictly
@@ -18,8 +19,9 @@
 use crate::reactor::MAX_SHARDS;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use ult_core::pool::SpinLock;
+use ult_core::stats::rank_counters;
 
 /// Size of every pooled buffer. One TCP read's worth with headroom; echo
 /// handlers slice it down to the bytes actually read.
@@ -78,21 +80,10 @@ impl FreeList {
 
 static SHARD_FREE: [FreeList; MAX_SHARDS] = [const { FreeList::new() }; MAX_SHARDS];
 static GLOBAL_FREE: FreeList = FreeList::new();
-static HITS: [AtomicU64; MAX_SHARDS] = [const { AtomicU64::new(0) }; MAX_SHARDS]; // ordering: counter
-static MISSES: [AtomicU64; MAX_SHARDS] = [const { AtomicU64::new(0) }; MAX_SHARDS]; // ordering: counter
 
 /// The calling worker's pool index (0 outside the runtime).
 fn pool_idx() -> usize {
     ult_core::current_worker_rank().unwrap_or(0) % MAX_SHARDS
-}
-
-/// Buffer-pool (hits, misses) for shard `r`, for the reactor's stats hook.
-pub(crate) fn shard_counters(r: usize) -> (u64, u64) {
-    let i = r % MAX_SHARDS;
-    (
-        HITS[i].load(Ordering::Relaxed),
-        MISSES[i].load(Ordering::Relaxed),
-    )
 }
 
 /// A pooled, fixed-size I/O buffer ([`BUF_CAPACITY`] bytes). Dereferences
@@ -109,10 +100,14 @@ impl IoBuf {
     pub fn acquire() -> IoBuf {
         let i = pool_idx();
         if let Some(b) = SHARD_FREE[i].pop().or_else(|| GLOBAL_FREE.pop()) {
-            HITS[i].fetch_add(1, Ordering::Relaxed);
+            rank_counters(i)
+                .io_bufpool_hits
+                .fetch_add(1, Ordering::Relaxed);
             return IoBuf { data: Some(b) };
         }
-        MISSES[i].fetch_add(1, Ordering::Relaxed);
+        rank_counters(i)
+            .io_bufpool_misses
+            .fetch_add(1, Ordering::Relaxed);
         IoBuf {
             data: Some(vec![0u8; BUF_CAPACITY].into_boxed_slice()),
         }
@@ -162,8 +157,7 @@ mod tests {
         // Off-runtime both calls use pool 0, so the buffer comes back.
         let b = IoBuf::acquire();
         assert_eq!(b.as_ptr(), ptr);
-        let (hits, _) = shard_counters(0);
-        assert!(hits >= 1);
+        assert!(rank_counters(0).io_bufpool_hits.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]

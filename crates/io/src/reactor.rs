@@ -98,6 +98,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use ult_core::stats::ShardCounters;
 use ult_sys::epoll::{Epoll, Event, EV_READ, EV_WRITE};
 use ult_sys::eventfd::EventFd;
 
@@ -108,7 +109,7 @@ const POLL_INTERVAL_NS: u64 = 200_000;
 /// Events drained per service pass.
 const EVENTS_PER_PASS: usize = 64;
 /// Shard table capacity; the effective shard count never exceeds this.
-pub const MAX_SHARDS: usize = 64;
+pub const MAX_SHARDS: usize = ult_core::stats::MAX_SHARDS;
 
 /// Effective shard count: 0 until first use, then fixed for the process.
 /// Read from the sigsafe wake path, hence an atomic rather than a OnceLock.
@@ -224,15 +225,8 @@ pub(crate) struct Shard {
     /// has this shard's epoll fd armed (see "The watch" in the module docs).
     // ordering: acqrel arm CAS 0->token before EPOLL_CTL_MOD; the watcher's swap to 0 precedes its signal
     watch_owner: AtomicU64,
-    watch_arms: AtomicU64,        // ordering: counter
-    watch_skips: AtomicU64,       // ordering: counter
-    polls: AtomicU64,             // ordering: counter
-    parks: AtomicU64,             // ordering: counter
-    doorbell_rings: AtomicU64,    // ordering: counter
-    cross_shard_wakes: AtomicU64, // ordering: counter
-    fd_rebinds: AtomicU64,        // ordering: counter
-    batched_accepts: AtomicU64,   // ordering: counter
-    accepted: AtomicU64,          // ordering: counter
+    /// This shard's counters, published to `Runtime::stats` at creation.
+    counters: ShardCounters,
 }
 
 /// Lazily-created shard table, indexed by worker rank (mod [`MAX_SHARDS`]);
@@ -249,7 +243,6 @@ static HOOKS: ult_core::IoHooks = ult_core::IoHooks {
     park: park_hook,
     wake: wake_hook,
     poll: poll_hook,
-    shard_stats: stats_hook,
     pending: pending_hook,
     watch: watch_hook,
 };
@@ -294,16 +287,9 @@ fn init_shard(i: usize) -> &'static Shard {
         armed: AtomicUsize::new(0),
         next_poll_ns: AtomicU64::new(0),
         watch_owner: AtomicU64::new(0),
-        watch_arms: AtomicU64::new(0),
-        watch_skips: AtomicU64::new(0),
-        polls: AtomicU64::new(0),
-        parks: AtomicU64::new(0),
-        doorbell_rings: AtomicU64::new(0),
-        cross_shard_wakes: AtomicU64::new(0),
-        fd_rebinds: AtomicU64::new(0),
-        batched_accepts: AtomicU64::new(0),
-        accepted: AtomicU64::new(0),
+        counters: ShardCounters::new(),
     }));
+    ult_core::stats::publish_shard(i, &sh.counters);
     SHARDS[i].store(sh as *const Shard as *mut Shard, Ordering::Release);
     // Idempotent (write-once CAS inside): publish the hooks as soon as any
     // shard exists; other shards keep materializing lazily through them.
@@ -332,7 +318,7 @@ fn park_hook(r: usize) -> bool {
         // the doorbell). One non-blocking pass instead of committing to a
         // possibly-unbounded sleep; the caller rescans its pools and the
         // next park round sees the published shard.
-        sh.parks.fetch_add(1, Ordering::Relaxed);
+        sh.counters.io_parks.fetch_add(1, Ordering::Relaxed);
         sh.service(0);
         return true;
     }
@@ -349,7 +335,7 @@ fn park_hook(r: usize) -> bool {
         // seen it).
         return false;
     }
-    sh.parks.fetch_add(1, Ordering::Relaxed);
+    sh.counters.io_parks.fetch_add(1, Ordering::Relaxed);
     sh.service(timeout);
     true
 }
@@ -361,7 +347,9 @@ fn park_hook(r: usize) -> bool {
 // sigsafe
 fn wake_hook(r: usize) {
     if let Some(sh) = existing_shard(r) {
-        sh.doorbell_rings.fetch_add(1, Ordering::Relaxed);
+        sh.counters
+            .io_doorbell_rings
+            .fetch_add(1, Ordering::Relaxed);
         sh.doorbell.signal();
     }
 }
@@ -434,7 +422,7 @@ fn watch_hook(r: usize, owner: u64) {
     {
         return;
     }
-    sh.watch_arms.fetch_add(1, Ordering::Relaxed);
+    sh.counters.io_watch_arms.fetch_add(1, Ordering::Relaxed);
     let meta = *WATCHER.get_or_init(start_watcher);
     let (fd, token) = (sh.ep.raw_fd(), sh.idx as u64);
     // One-shot re-arm; a shard the watcher has never seen is added instead.
@@ -478,45 +466,9 @@ fn watcher_main(meta: &'static Epoll) -> ! {
             let sh = shard(ev.token as usize);
             let owner = sh.watch_owner.swap(0, Ordering::AcqRel);
             if owner != 0 && !ult_core::io_kick(owner) {
-                sh.watch_skips.fetch_add(1, Ordering::Relaxed);
+                sh.counters.io_watch_skips.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-}
-
-fn stats_hook(r: usize) -> ult_core::IoShardStats {
-    let (bufpool_hits, bufpool_misses) = crate::bufpool::shard_counters(r);
-    // Shard counters are reported by the canonical rank alone, so summing
-    // the snapshot across worker ranks (as `Runtime::stats` does) counts a
-    // shared shard once. Buffer-pool counters are per-rank regardless.
-    if shard_index(r) != r {
-        return ult_core::IoShardStats {
-            bufpool_hits,
-            bufpool_misses,
-            ..Default::default()
-        };
-    }
-    let p = SHARDS[r % MAX_SHARDS].load(Ordering::Acquire);
-    // SAFETY: published shard pointers are leaked boxes, valid forever.
-    let Some(sh) = (unsafe { p.as_ref() }) else {
-        return ult_core::IoShardStats {
-            bufpool_hits,
-            bufpool_misses,
-            ..Default::default()
-        };
-    };
-    ult_core::IoShardStats {
-        polls: sh.polls.load(Ordering::Relaxed),
-        parks: sh.parks.load(Ordering::Relaxed),
-        doorbell_rings: sh.doorbell_rings.load(Ordering::Relaxed),
-        cross_shard_wakes: sh.cross_shard_wakes.load(Ordering::Relaxed),
-        fd_rebinds: sh.fd_rebinds.load(Ordering::Relaxed),
-        batched_accepts: sh.batched_accepts.load(Ordering::Relaxed),
-        accepted: sh.accepted.load(Ordering::Relaxed),
-        bufpool_hits,
-        bufpool_misses,
-        watch_arms: sh.watch_arms.load(Ordering::Relaxed),
-        watch_skips: sh.watch_skips.load(Ordering::Relaxed),
     }
 }
 
@@ -524,7 +476,7 @@ impl Shard {
     /// One service pass: wait up to `timeout_ms` for events, deliver them,
     /// then fire due timers.
     fn service(&self, timeout_ms: i32) {
-        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.counters.io_polls.fetch_add(1, Ordering::Relaxed);
         let mut evs = [Event {
             events: 0,
             token: 0,
@@ -624,7 +576,9 @@ impl Shard {
     /// with a now-too-long timeout).
     pub(crate) fn add_deadline(&self, deadline_ns: u64, w: Arc<TimedWaiter>) {
         if self.wheel.insert(deadline_ns, w) {
-            self.doorbell_rings.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .io_doorbell_rings
+                .fetch_add(1, Ordering::Relaxed);
             self.doorbell.signal();
             // The doorbell only reaches an *epoll*-parked owner. If the
             // owner is another worker it may be futex-parked (it declined
@@ -717,7 +671,7 @@ fn rebind_locked(entry: &Arc<FdEntry>, st: &mut FdWait, to: &'static Shard) -> i
     let _ = from.ep.delete(entry.fd);
     to.registry.lock().insert(entry.token, entry.clone());
     entry.shard.store(to.idx, Ordering::Release);
-    to.fd_rebinds.fetch_add(1, Ordering::Relaxed);
+    to.counters.io_fd_rebinds.fetch_add(1, Ordering::Relaxed);
     // Fresh epoll instance: nothing armed yet; the caller re-arms right
     // after (its wanted set never matches 0, so the MOD always happens).
     st.armed_interest = 0;
@@ -727,8 +681,12 @@ fn rebind_locked(entry: &Arc<FdEntry>, st: &mut FdWait, to: &'static Shard) -> i
 /// Record one batched-accept drain of `n` connections on the current shard.
 pub(crate) fn note_accept_batch(n: usize) {
     let sh = current_shard();
-    sh.batched_accepts.fetch_add(1, Ordering::Relaxed);
-    sh.accepted.fetch_add(n as u64, Ordering::Relaxed);
+    sh.counters
+        .io_batched_accepts
+        .fetch_add(1, Ordering::Relaxed);
+    sh.counters
+        .io_accepted
+        .fetch_add(n as u64, Ordering::Relaxed);
 }
 
 /// Store a waker-bound waiter in `entry`'s `dir` slot and arm interest,
@@ -821,7 +779,8 @@ pub(crate) fn note_wake(entry: &FdEntry, dir: Dir) {
     let owner = entry.shard.load(Ordering::Acquire);
     if ult_core::current_worker_rank() != Some(owner) {
         shard(owner)
-            .cross_shard_wakes
+            .counters
+            .io_cross_shard_wakes
             .fetch_add(1, Ordering::Relaxed);
     }
 }

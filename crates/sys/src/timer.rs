@@ -222,6 +222,7 @@ mod tests {
 
     #[test]
     fn interval_accessor() {
+        let _serial = serial();
         install_handler(test_sig(), tick_handler).unwrap();
         let t = IntervalTimer::per_thread(gettid(), test_sig(), 123_000_000, 0).unwrap();
         assert_eq!(t.interval_ns(), 123_000_000);

@@ -9,7 +9,7 @@ echo "== lint gates: all six ult-verify passes (closure, callgraph, ordering,"
 echo "==             blocking, pindiscipline, lockorder), JSON + trend report"
 mkdir -p results
 cargo run -p ult-lint --bin sigsafe -- --json --report results/lint_report.json
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 echo "== model checker: lock-free protocol interleaving sweeps"
@@ -53,6 +53,9 @@ for pin in "taskset -c 0" ""; do
         # every policy, never stranded on a packing-suspended worker, never
         # a priority inversion.
         $pin cargo test -q -p ult-core --lib run_next
+        # The POSIX interval timers on the shared test signal: a tick from
+        # one test must never land in another's quiescence window.
+        $pin cargo test -q -p ult-sys --lib timer::
     done
 done
 # The wait queue under every ult-sync primitive: re-check under the lock and

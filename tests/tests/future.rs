@@ -383,7 +383,7 @@ fn block_on_external_thread_with_runtime_sender() {
     });
     // The receiver parks this external thread; the ULT's send must unpark
     // it through the ExtWaker futex.
-    assert_eq!(block_on(async { rx.await }), Ok(99));
+    assert_eq!(block_on(rx), Ok(99));
     h.join();
     rt.shutdown();
 }
