@@ -409,23 +409,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let w = current_worker().expect("ambient spawn outside the runtime");
-    let rt = w.runtime();
-    // SAFETY: RuntimeInner lives in an Arc owned by the Runtime handle,
-    // which outlives all workers' activity; mint a temporary strong ref.
-    let rt = unsafe {
-        Arc::increment_strong_count(rt as *const crate::runtime::RuntimeInner);
-        Arc::from_raw(rt as *const crate::runtime::RuntimeInner)
-    };
-    let stack = rt.config.stack_size;
-    rt.spawn_ult(
-        kind,
-        priority,
-        crate::thread::SchedClass::Normal,
-        None,
-        stack,
-        f,
-    )
+    spawn_attrs(SpawnAttrs::new().kind(kind).priority(priority), f)
 }
 
 /// Spawn on the ambient runtime with a full attribute set — the ambient
@@ -438,16 +422,11 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    // A plain borrow: the runtime outlives its workers' activity, so the
+    // spawn takes no reference on its `Arc` (a refcount every spawning
+    // worker would write).
     let w = current_worker().expect("ambient spawn outside the runtime");
-    let rt = w.runtime();
-    // SAFETY: as in `spawn` above.
-    let rt = unsafe {
-        Arc::increment_strong_count(rt as *const crate::runtime::RuntimeInner);
-        Arc::from_raw(rt as *const crate::runtime::RuntimeInner)
-    };
-    let stack = rt.config.stack_size;
-    let home = attrs.home_pool.map(|r| r % rt.workers.len());
-    rt.spawn_ult(attrs.kind, attrs.priority, attrs.class, home, stack, f)
+    w.runtime().spawn_ult(attrs, f)
 }
 
 #[cfg(test)]

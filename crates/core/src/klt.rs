@@ -119,6 +119,14 @@ pub(crate) struct Klt {
     /// its home-loop frame; null without one (see `preempt::tick`).
     // ordering: acqrel published by the KLT before it is offered to a pool or worker, cleared before it deletes the timer at exit
     timer: AtomicPtr<IntervalTimer>,
+    /// A nudge (`preempt::tick::nudge`) is queued for this KLT and its
+    /// handler has not started: later nudges send nothing, because that
+    /// handler reads whatever they published. The nudge is a `tgkill`'d RT
+    /// signal, which queues, and every instance still pending when the
+    /// handler (`SA_NODEFER`) is entered nests one more signal frame: a KLT
+    /// kept off the CPU while pushers nudge it would overflow its stack.
+    // ordering: acqrel the handler's clearing swap acquires what each pusher that found it set published before its own swap
+    nudge_queued: AtomicBool,
 }
 
 // SAFETY: all mutable state is atomic or confined by the home-loop protocol
@@ -142,7 +150,22 @@ impl Klt {
             release_to: AtomicUsize::new(usize::MAX),
             shutdown: AtomicBool::new(false),
             timer: AtomicPtr::new(std::ptr::null_mut()),
+            nudge_queued: AtomicBool::new(false),
         })
+    }
+
+    /// Claim the one queued nudge: `false` if one is queued already.
+    #[inline]
+    // sigsafe
+    pub(crate) fn claim_nudge(&self) -> bool {
+        !self.nudge_queued.swap(true, Ordering::AcqRel)
+    }
+
+    /// A signal handler started on this KLT: the next nudge must be sent.
+    #[inline]
+    // sigsafe
+    pub(crate) fn nudge_taken(&self) {
+        self.nudge_queued.swap(false, Ordering::AcqRel);
     }
 
     /// Publish (or, with `None`, withdraw) this KLT's timer. Called by the

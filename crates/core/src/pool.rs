@@ -54,7 +54,7 @@ use ult_arch::CacheAligned;
 /// Used instead of `parking_lot`/`std` mutexes wherever a signal handler may
 /// take the lock: parking mutexes may allocate lazy per-thread data on first
 /// contention, which is not async-signal-safe. (The ready pools themselves
-/// no longer use it; the KLT pools and joiner lists still do.)
+/// no longer use it; the KLT pools still do.)
 pub struct SpinLock {
     locked: AtomicBool, // ordering: acqrel swap-acquire to lock, release store to unlock
 }
@@ -697,15 +697,7 @@ mod tests {
     }
 
     fn mk_latency(id: u64) -> Arc<Ult> {
-        Ult::new(
-            id,
-            crate::thread::ThreadKind::Nonpreemptive,
-            crate::thread::Priority::High,
-            SchedClass::Latency,
-            0,
-            ult_arch::Stack::new(ult_arch::stack::MIN_STACK_SIZE).unwrap(),
-            Box::new(|| {}),
-        )
+        Ult::unscheduled(id, &crate::SpawnAttrs::new().class(SchedClass::Latency), 0)
     }
 
     #[test]

@@ -84,6 +84,13 @@ pub(crate) extern "C" fn preempt_handler(
     _info: *mut libc::siginfo_t,
     uc: *mut libc::c_void,
 ) {
+    // Whatever brought this signal, the KLT's queued nudge (if any) is
+    // delivered now or is about to be, so the next one must be sent: clear
+    // before anything below reads the state a nudger published.
+    let klt = current_klt();
+    if let Some(k) = klt {
+        k.nudge_taken();
+    }
     // Nested delivery (SA_NODEFER leaves the tick unmasked): the
     // interrupted invocation is already mid-decision on this KLT, and a
     // second decision taken over its half-read state could preempt from the
@@ -98,7 +105,7 @@ pub(crate) extern "C" fn preempt_handler(
     let _in_handler = crate::sigsafe::HandlerScope::enter();
     #[cfg(debug_assertions)]
     crate::sigsafe::maybe_inject_alloc();
-    let Some(klt) = current_klt() else {
+    let Some(klt) = klt else {
         // Signal landed on a non-runtime thread (a raised tick); drop it.
         return;
     };

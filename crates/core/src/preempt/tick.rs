@@ -412,11 +412,14 @@ pub(crate) fn on_push(rt: &RuntimeInner, target: &Worker, is_self: bool) {
     }
 }
 
-/// Send a preemption tick to `w`'s current KLT; returns whether one was
-/// sent. As a nudge to an elided worker, its handler re-arms from the owner
-/// side (and may preempt the running ULT right away — wanted, work just
-/// arrived); a worker idle-parked instead is woken by the unpark that
-/// accompanies the push, and its next dispatch re-arms.
+/// Send a preemption tick to `w`'s current KLT; returns whether one is on
+/// its way. As a nudge to an elided worker, its handler re-arms from the
+/// owner side (and may preempt the running ULT right away — wanted, work
+/// just arrived); a worker idle-parked instead is woken by the unpark that
+/// accompanies the push, and its next dispatch re-arms. At most one nudge
+/// is queued per KLT (`Klt::claim_nudge`): a later one is left to the
+/// handler of the queued one, which starts after it and so reads what it
+/// published.
 // sigsafe
 fn nudge(w: &Worker) -> bool {
     // SAFETY: KLTs are registry-kept for the runtime's life.
@@ -424,7 +427,17 @@ fn nudge(w: &Worker) -> bool {
         return false;
     };
     let tid = k.tid();
-    tid != 0 && ult_sys::signal::send_signal(tid, crate::preempt::preempt_signum())
+    if tid == 0 {
+        return false;
+    }
+    if !k.claim_nudge() {
+        return true;
+    }
+    let sent = ult_sys::signal::send_signal(tid, crate::preempt::preempt_signum());
+    if !sent {
+        k.nudge_taken();
+    }
+    sent
 }
 
 // ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@
 //! worker-local KLT pools (§3.3.2) and a dedicated KLT-creator thread
 //! (because `pthread_create` is not async-signal-safe).
 
+use crate::api::SpawnAttrs;
 use crate::config::{Config, TimerStrategy};
 use crate::klt::{bind_current_klt, unbind_current_klt, Directive, Klt, KltCreator, KltPool};
 use crate::preempt::tick;
 use crate::stats::{RuntimeCounters, RuntimeStats};
-use crate::thread::{JoinHandle, Priority, ResultCell, SchedClass, ThreadKind, Ult};
+use crate::thread::{JoinHandle, Packet, Priority, RunOnce, ThreadKind, Ult};
 use crate::worker::Worker;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use ult_arch::{Context, Stack};
+use ult_arch::{CacheAligned, Context, Stack};
 use ult_sys::timer::IntervalTimer;
 
 /// Runtimes whose workers the reactor's watcher thread may signal, as
@@ -31,6 +32,14 @@ static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1); // ordering: counter
 /// Capacity (in ULTs) reserved in every pool at start; pools grow outside
 /// signal handlers as needed (`ensure_pool_capacity`).
 const INITIAL_POOL_CAPACITY: usize = 1024;
+
+/// The ULT counts every spawn writes.
+pub(crate) struct UltCensus {
+    /// Live (spawned, not yet finished) ULTs.
+    pub live: AtomicUsize, // ordering: acqrel gates shutdown
+    /// Monotonic ULT id source.
+    pub next_id: AtomicU64, // ordering: counter
+}
 
 /// Shared runtime state (everything the schedulers and handlers touch).
 pub(crate) struct RuntimeInner {
@@ -59,10 +68,10 @@ pub(crate) struct RuntimeInner {
     pub shutdown: AtomicBool, // ordering: acqrel
     /// Number of currently active workers (thread packing, §4.2).
     pub active_workers: AtomicUsize, // ordering: acqrel
-    /// Live (spawned, not yet finished) ULTs.
-    pub live_ults: AtomicUsize, // ordering: acqrel gates shutdown
-    /// Monotonic ULT id source.
-    pub next_ult_id: AtomicU64, // ordering: counter
+    /// Written by every spawn and every finish, on whichever worker runs
+    /// them: a line of its own, so those writes do not keep taking the line
+    /// of the read-mostly fields every `on_ready` and `idle_wait` reads.
+    pub ults: CacheAligned<UltCensus>,
     /// High-water mark for per-pool capacity reservations.
     pool_reserve_mark: AtomicUsize, // ordering: acqrel
     /// Round-robin cursor for external spawns.
@@ -107,8 +116,10 @@ impl RuntimeInner {
             counters: RuntimeCounters::new(),
             shutdown: AtomicBool::new(false),
             active_workers: AtomicUsize::new(n),
-            live_ults: AtomicUsize::new(0),
-            next_ult_id: AtomicU64::new(1),
+            ults: CacheAligned::new(UltCensus {
+                live: AtomicUsize::new(0),
+                next_id: AtomicU64::new(1),
+            }),
             pool_reserve_mark: AtomicUsize::new(INITIAL_POOL_CAPACITY),
             spawn_rr: AtomicUsize::new(0),
             stack_cache: Mutex::new(Vec::new()),
@@ -201,20 +212,20 @@ impl RuntimeInner {
     const STACK_CACHE_MAX: usize = 128;
     /// Per-worker stack free-list capacity.
     const WORKER_STACK_CACHE_MAX: usize = 32;
-    /// Per-worker finished-descriptor slab capacity.
-    const WORKER_ULT_CACHE_MAX: usize = 32;
+    /// Per-worker finished-descriptor slab capacity: one `forkjoin` wave
+    /// (a descriptor is about 200 B; a stack is 64 KiB and stays capped at
+    /// 32).
+    const WORKER_ULT_CACHE_MAX: usize = 64;
 
-    /// Return a reclaimed default-size stack to the caches: the worker-local
-    /// free list when an owner context is available, overflowing globally.
-    fn cache_stack(&self, w: Option<&Worker>, stack: Stack) {
-        if let Some(w) = w {
-            // SAFETY: owner access — `w` is the caller's own worker with
-            // preemption disabled (scheduler context or pinned ULT).
-            let cache = unsafe { &mut *w.stack_cache.get() };
-            if cache.len() < Self::WORKER_STACK_CACHE_MAX {
-                cache.push(stack);
-                return;
-            }
+    /// Return a reclaimed stack to the caches: `w`'s free list, overflowing
+    /// globally.
+    fn cache_stack(&self, w: &Worker, stack: Stack) {
+        // SAFETY: owner access — `w` is the caller's own worker with
+        // preemption disabled (scheduler context or pinned ULT).
+        let cache = unsafe { &mut *w.stack_cache.get() };
+        if cache.len() < Self::WORKER_STACK_CACHE_MAX {
+            cache.push(stack);
+            return;
         }
         let mut cache = self.stack_cache.lock();
         if cache.len() < Self::STACK_CACHE_MAX {
@@ -222,8 +233,8 @@ impl RuntimeInner {
         }
     }
 
-    /// Take a recycled default-size stack: worker-local first (no lock),
-    /// then the global overflow pool.
+    /// Take a recycled stack: worker-local first (no lock), then the global
+    /// overflow pool.
     fn take_cached_stack(&self, w: Option<&Worker>) -> Option<Stack> {
         if let Some(w) = w {
             // SAFETY: owner access, as in `cache_stack`.
@@ -235,68 +246,57 @@ impl RuntimeInner {
         self.stack_cache.lock().pop()
     }
 
-    /// A ULT finished: wake joiners, decrement live count, recycle its
-    /// stack and (once its JoinHandle is gone) its descriptor.
-    pub(crate) fn on_finish(&self, t: &Arc<Ult>) {
-        // The caller is this runtime's scheduler context, so the resolved
-        // worker is an owner context for the recycling caches.
-        let w = crate::api::current_worker();
-        // Reclaim the stack first: the thread's context is dead and the
-        // default-size stack can serve the next spawn without an mmap.
-        if let Some(stack) = t.take_stack() {
-            if stack.size() == self.config.stack_size {
-                self.cache_stack(w, stack);
-            }
+    /// Park a finished descriptor in `w`'s slab for the next spawn there,
+    /// if nothing else refers to it (a handle's clone of `JoinHandle::ult`,
+    /// or for a moment the scheduler that finished it elsewhere) and the
+    /// slab has room; drop it otherwise. Every slab entry is so uniquely
+    /// owned, and stays so: nobody else can reach it to clone or downgrade.
+    fn cache_ult(w: &Worker, t: Arc<Ult>) {
+        // SAFETY: owner access, as in `cache_stack`.
+        let cache = unsafe { &mut *w.ult_cache.get() };
+        if cache.len() < Self::WORKER_ULT_CACHE_MAX
+            && Arc::strong_count(&t) == 1
+            && Arc::weak_count(&t) == 0
+        {
+            cache.push(t);
         }
-        // Order is load-bearing: mark Finished first so that late joiner
-        // registrations observe it and skip blocking; then drain the
-        // registrants that got in before.
-        t.finish();
-        let joiners = t.take_joiners();
-        for j in joiners {
-            crate::api::make_ready(&j);
-        }
-        if let Some(w) = w {
-            w.stats.completed.fetch_add(1, Ordering::Relaxed);
-            // Park the descriptor for reuse. It usually still has >1 strong
-            // ref here (the JoinHandle); the spawn path skips non-unique
-            // entries and claims it once the handle is dropped.
-            // SAFETY: owner access, as in `cache_stack`.
-            let cache = unsafe { &mut *w.ult_cache.get() };
-            if cache.len() < Self::WORKER_ULT_CACHE_MAX {
-                cache.push(t.clone());
-            }
-        }
-        self.live_ults.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Claim a uniquely-owned descriptor from `w`'s slab, if any.
+    /// A ULT finished on `w`'s scheduler context: recycle its stack, wake
+    /// its joiner, decrement the live count and, when no handle refers to
+    /// it any more (it was detached, as `ult-future` tasks are), recycle its
+    /// descriptor; a joined one goes back to the joiner's worker instead
+    /// (`recycle_joined`).
+    pub(crate) fn on_finish(&self, w: &Worker, t: Arc<Ult>) {
+        // Reclaim the stack first: the thread's context is dead and the
+        // stack can serve the next spawn without an mmap.
+        if let Some(stack) = t.take_stack() {
+            self.cache_stack(w, stack);
+        }
+        // Order is load-bearing: mark Finished first so that a late joiner
+        // registration observes it and skips blocking; then drain the one
+        // that got in before.
+        if t.finish() {
+            self.counters
+                .join_futex_wakes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(j) = t.take_joiner() {
+            crate::api::make_ready(&j);
+        }
+        w.stats.completed.fetch_add(1, Ordering::Relaxed);
+        Self::cache_ult(w, t);
+        self.ults.live.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Take the newest (hottest) descriptor from `w`'s slab, if any.
     fn take_recyclable_ult(w: &Worker) -> Option<Arc<Ult>> {
         // SAFETY: owner access — the spawn path holds a pin on `w`.
-        let cache = unsafe { &mut *w.ult_cache.get() };
-        // Newest-first: recently finished descriptors are the likeliest to
-        // have shed their JoinHandle and the hottest in cache. The weak
-        // check matters for `Arc::get_mut` at the use site: a descriptor
-        // with a `Weak<Ult>` outstanding is not uniquely ours even at
-        // strong count 1 (and both counts are stable here — with the slab
-        // holding the only strong ref, nobody can clone or downgrade it
-        // concurrently).
-        (0..cache.len())
-            .rev()
-            .find(|&i| Arc::strong_count(&cache[i]) == 1 && Arc::weak_count(&cache[i]) == 0)
-            .map(|i| cache.swap_remove(i))
+        unsafe { (*w.ult_cache.get()).pop() }
     }
 
     /// Core spawn path shared by all public spawn flavors.
-    pub(crate) fn spawn_ult<T, F>(
-        self: &Arc<Self>,
-        kind: ThreadKind,
-        priority: Priority,
-        class: SchedClass,
-        home_pool: Option<usize>,
-        stack_size: usize,
-        f: F,
-    ) -> JoinHandle<T>
+    pub(crate) fn spawn_ult<T, F>(&self, attrs: SpawnAttrs, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -305,47 +305,28 @@ impl RuntimeInner {
             !self.shutdown.load(Ordering::Acquire),
             "spawn on a shut-down runtime"
         );
-        let live = self.live_ults.fetch_add(1, Ordering::AcqRel) + 1;
+        let live = self.ults.live.fetch_add(1, Ordering::AcqRel) + 1;
         self.ensure_pool_capacity(live);
-        let id = self.next_ult_id.fetch_add(1, Ordering::Relaxed);
-        let result = Arc::new(ResultCell(std::cell::UnsafeCell::new(None)));
-        let r2 = result.clone();
-        let wrapper = move || {
-            let v = f();
-            // SAFETY: single writer (this ULT), read only after Finished.
-            unsafe {
-                *r2.0.get() = Some(v);
-            }
-        };
-        // Box the entry before taking any pin: this allocation happens on
-        // every path and must not sit inside a preemption-off window.
-        let entry: Box<dyn FnOnce() + Send + 'static> = Box::new(wrapper);
+        let id = self.ults.next_id.fetch_add(1, Ordering::Relaxed);
+        // The closure and its result slot, in the spawn's one allocation,
+        // made before any pin: it must not sit inside a preemption-off
+        // window.
+        let packet = Arc::new(Packet::new(f));
+        let entry: Arc<dyn RunOnce> = packet.clone();
 
         // Fast lane: pin the spawner's worker ONCE, up front. The pin (a)
         // fixes the placement hint, (b) licenses lock-free access to the
         // worker's stack/descriptor free lists, and (c) licenses the
-        // CAS-free owner push in on_ready — one atomic increment replacing
-        // the seed's global-mutex stack pop plus per-spawn allocations.
-        let mut pinned: Option<&Worker> = None;
-        if let Some(cw) = crate::api::pin_current_worker() {
-            if std::ptr::eq(cw.runtime(), &**self) {
-                pinned = Some(cw);
-            } else {
-                // A worker of a different runtime: treat as external.
-                cw.preempt_enable();
-            }
-        }
-        let home = home_pool.unwrap_or_else(|| match pinned {
-            Some(w) => w.rank,
-            None => self.spawn_rr.fetch_add(1, Ordering::Relaxed) % self.workers.len(),
-        });
+        // CAS-free owner push in on_ready.
+        let mut pinned = self.pin_own_worker();
+        let home = match (attrs.home_pool, pinned) {
+            (Some(rank), _) => rank % self.workers.len(),
+            (None, Some(w)) => w.rank,
+            (None, None) => self.spawn_rr.fetch_add(1, Ordering::Relaxed) % self.workers.len(),
+        };
         // Owner-cache accesses (these are what the pin licenses): a
         // recycled stack and a recycled descriptor.
-        let stack = if stack_size == self.config.stack_size {
-            self.take_cached_stack(pinned)
-        } else {
-            None
-        };
+        let stack = self.take_cached_stack(pinned);
         let slot = pinned.and_then(Self::take_recyclable_ult);
         if stack.is_none() || slot.is_none() {
             // Cache miss: something must be allocated (Stack::new is an
@@ -356,25 +337,24 @@ impl RuntimeInner {
                 cw.preempt_enable();
             }
         }
-        let stack = stack.unwrap_or_else(|| Stack::new(stack_size).expect("ULT stack allocation"));
+        let stack = stack
+            .unwrap_or_else(|| Stack::new(self.config.stack_size).expect("ULT stack allocation"));
         crate::debug_registry::event(crate::debug_registry::ev::SPAWN, id, home as u64);
 
-        // Recycle a finished descriptor when one is free: reuses the
-        // `Arc<Ult>` allocation and the joiner/locals capacities.
         let ult = match slot {
-            Some(mut slot) => match Arc::get_mut(&mut slot) {
-                Some(inner) => {
-                    Ult::reset_for_spawn(inner, id, kind, priority, class, home, stack, entry);
-                    slot
-                }
-                // Not uniquely ours after all (a Weak<Ult> slipped past the
-                // slab check): discard the slot and allocate fresh rather
-                // than panicking.
-                None => Ult::new(id, kind, priority, class, home, stack, entry),
-            },
-            None => Ult::new(id, kind, priority, class, home, stack, entry),
+            Some(mut slot) => {
+                let t = Arc::get_mut(&mut slot).expect("a slab descriptor is uniquely owned");
+                Ult::reset_for_spawn(t, id, &attrs, home, stack, entry);
+                slot
+            }
+            None => {
+                self.counters
+                    .ult_descriptor_allocs
+                    .fetch_add(1, Ordering::Relaxed);
+                Ult::new(id, &attrs, home, stack, entry)
+            }
         };
-        ult.set_runtime(Arc::as_ptr(self));
+        ult.set_runtime(self);
         ult.set_state(crate::thread::UltState::Ready);
 
         // Re-pin if the miss path released the pin. The ULT may have been
@@ -382,13 +362,7 @@ impl RuntimeInner {
         // worker (`home` stays what was hinted above — it is placement
         // policy, not an ownership claim).
         if pinned.is_none() {
-            if let Some(cw) = crate::api::pin_current_worker() {
-                if std::ptr::eq(cw.runtime(), &**self) {
-                    pinned = Some(cw);
-                } else {
-                    cw.preempt_enable();
-                }
-            }
+            pinned = self.pin_own_worker();
         }
         // Route to a pool. When called from inside a worker, on_ready uses
         // that worker's local queue under the migration pin (owner push);
@@ -398,12 +372,34 @@ impl RuntimeInner {
                 crate::sched::on_ready(self, cw, ult.clone(), true, true);
                 cw.preempt_enable();
             }
-            None => {
-                let w = &self.workers[home % self.workers.len()];
-                crate::sched::on_ready(self, w, ult.clone(), true, false);
-            }
+            None => crate::sched::on_ready(self, &self.workers[home], ult.clone(), true, false),
         }
-        JoinHandle { ult, result }
+        JoinHandle {
+            ult,
+            output: packet,
+        }
+    }
+
+    /// Pin the caller's worker if it is one of this runtime's (a worker of
+    /// another runtime counts as external).
+    fn pin_own_worker(&self) -> Option<&Worker> {
+        let cw = crate::api::pin_current_worker()?;
+        if std::ptr::eq(cw.runtime(), self) {
+            Some(cw)
+        } else {
+            cw.preempt_enable();
+            None
+        }
+    }
+}
+
+/// Give a joined ULT's descriptor to the joining worker's slab: the
+/// spawner usually joins, so its next spawn reuses it. Outside the runtime
+/// the descriptor is dropped.
+pub(crate) fn recycle_joined(t: Arc<Ult>) {
+    if let Some(w) = crate::api::pin_current_worker() {
+        RuntimeInner::cache_ult(w, t);
+        w.preempt_enable();
     }
 }
 
@@ -603,32 +599,17 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.inner.spawn_ult(
-            kind,
-            priority,
-            SchedClass::Normal,
-            None,
-            self.inner.config.stack_size,
-            f,
-        )
+        self.spawn_attrs(SpawnAttrs::new().kind(kind).priority(priority), f)
     }
 
     /// Spawn with a full attribute set (see [`crate::api::SpawnAttrs`]) —
     /// the only spawn flavor that can set a non-default scheduling class.
-    pub fn spawn_attrs<T, F>(&self, attrs: crate::api::SpawnAttrs, f: F) -> JoinHandle<T>
+    pub fn spawn_attrs<T, F>(&self, attrs: SpawnAttrs, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let home = attrs.home_pool.map(|r| r % self.inner.workers.len());
-        self.inner.spawn_ult(
-            attrs.kind,
-            attrs.priority,
-            attrs.class,
-            home,
-            self.inner.config.stack_size,
-            f,
-        )
+        self.inner.spawn_ult(attrs, f)
     }
 
     /// Spawn a nonpreemptive thread (the cheapest kind; paper §3.4).
@@ -637,7 +618,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_with(ThreadKind::Nonpreemptive, Priority::High, f)
+        self.spawn_attrs(SpawnAttrs::new(), f)
     }
 
     /// Spawn pinned to a specific worker's pool (`rank % num_workers`).
@@ -652,15 +633,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let rank = rank % self.inner.workers.len();
-        self.inner.spawn_ult(
-            kind,
-            priority,
-            SchedClass::Normal,
-            Some(rank),
-            self.inner.config.stack_size,
-            f,
-        )
+        self.spawn_attrs(SpawnAttrs::new().kind(kind).priority(priority).on(rank), f)
     }
 
     /// Thread packing (paper §4.2): reduce or restore the number of active
@@ -734,7 +707,7 @@ impl Runtime {
 
     /// Number of ULTs spawned and not yet finished.
     pub fn live_threads(&self) -> usize {
-        self.inner.live_ults.load(Ordering::Acquire)
+        self.inner.ults.live.load(Ordering::Acquire)
     }
 
     /// Shut down: waits for all spawned ULTs to finish, then stops all KLTs.
@@ -753,7 +726,7 @@ impl Runtime {
             w.unpark();
         }
         // Wait for ULTs to finish.
-        while rt.live_ults.load(Ordering::Acquire) > 0 {
+        while rt.ults.live.load(Ordering::Acquire) > 0 {
             for w in rt.workers.iter() {
                 w.unpark();
             }

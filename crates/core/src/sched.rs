@@ -479,15 +479,11 @@ mod tests {
     }
 
     fn ult_at(id: u64, priority: Priority, class: SchedClass, home: usize) -> Arc<Ult> {
-        Ult::new(
-            id,
-            ThreadKind::SignalYield,
-            priority,
-            class,
-            home,
-            ult_arch::Stack::new(ult_arch::stack::MIN_STACK_SIZE).unwrap(),
-            Box::new(|| {}),
-        )
+        let attrs = crate::SpawnAttrs::new()
+            .kind(ThreadKind::SignalYield)
+            .priority(priority)
+            .class(class);
+        Ult::unscheduled(id, &attrs, home)
     }
 
     /// One worker's routing, driven from the test thread standing in for

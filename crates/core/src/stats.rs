@@ -323,6 +323,12 @@ counters! {
     runtime {
         /// KLTs created on demand by the KLT-creator thread.
         klts_created,
+        /// Finishes that issued a `FUTEX_WAKE`: a KLT outside the runtime
+        /// slept in `Ult::wait_finished_external` on the finished thread.
+        join_futex_wakes,
+        /// Spawns that allocated a fresh ULT descriptor: no finished one
+        /// was free in the spawning worker's slab.
+        ult_descriptor_allocs,
     }
     process {
         /// MCS mutex: lock handoffs published to a queued successor.

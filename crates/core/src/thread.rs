@@ -6,12 +6,24 @@
 //! [`ThreadKind::Nonpreemptive`], [`ThreadKind::SignalYield`] and
 //! [`ThreadKind::KltSwitching`].
 
+use crate::api::SpawnAttrs;
 use crate::klt::Klt;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use ult_arch::{Context, Stack};
 use ult_sys::futex::{futex_wait, futex_wake};
+
+/// `join_futex` values: the thread runs and no KLT sleeps on the word...
+const JOIN_RUNNING: u32 = 0;
+/// ...the thread finished...
+const JOIN_FINISHED: u32 = 1;
+/// ...or it runs and at least one KLT sleeps in `wait_finished_external`.
+const JOIN_WAITED: u32 = 2;
+
+/// The `joiner` slot once `on_finish` has drained it: a registration that
+/// finds it parks nobody. Never the address of a live `Ult`.
+const JOINER_CLOSED: *mut Ult = std::ptr::dangling_mut();
 
 /// The three coexisting thread kinds of the paper (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +144,9 @@ pub struct Ult {
     /// runtime recycles stacks through a cache — `mmap` per spawn would
     /// triple ULT creation cost).
     pub(crate) stack: UnsafeCell<Option<Stack>>,
-    /// Entry closure; taken exactly once at first activation.
-    pub(crate) entry: UnsafeCell<Option<Box<dyn FnOnce() + Send + 'static>>>,
+    /// The spawned closure's packet; taken exactly once at first
+    /// activation (and dropped before the epilogue's final switch).
+    entry: UnsafeCell<Option<Arc<dyn RunOnce>>>,
     /// Life-cycle state.
     state: AtomicU8, // ordering: acqrel
     /// Whether the fresh context has been seeded/activated at least once.
@@ -141,9 +154,13 @@ pub struct Ult {
     /// For `Captive` state: the KLT parked inside the signal handler,
     /// holding this ULT's register state (paper Fig. 2b).
     pub(crate) captive_klt: AtomicPtr<Klt>, // ordering: acqrel
-    /// Join/completion notification (futex for external joiners; ULT
-    /// joiners are parked through `ult-sync` built on `block_current`).
-    join_futex: AtomicU32, // ordering: acqrel futex word
+    /// Completion word for joiners outside the runtime: `JOIN_RUNNING`,
+    /// `JOIN_WAITED` once a KLT sleeps on it, `JOIN_FINISHED`. `finish`
+    /// swaps in `JOIN_FINISHED` and issues `FUTEX_WAKE` only if it read
+    /// `JOIN_WAITED`, so a ULT nobody waits for on a KLT finishes without a
+    /// syscall.
+    // ordering: acqrel Release swap at finish publishes the result; the waiter's Acquire load reads it; one word's RMW order makes a CAS to WAITED either precede the swap (the swap reads it and wakes) or fail
+    join_futex: AtomicU32,
     /// Owning runtime (raw; valid while the ULT lives).
     rt: AtomicPtr<crate::runtime::RuntimeInner>, // ordering: acqrel
     /// Set while the thread is between wait-registration and context save;
@@ -157,10 +174,12 @@ pub struct Ult {
     /// claim that removes the thread; null otherwise.
     // ordering: relaxed intrusive link written while unpublished; the inbox-head CAS publishes it
     pub(crate) pool_next: AtomicPtr<Ult>,
-    /// ULTs parked on this thread's completion.
-    // lock-order: 20 joiners
-    joiners_lock: crate::pool::SpinLock,
-    joiners: UnsafeCell<Vec<Arc<Ult>>>,
+    /// The ULT parked in `JoinHandle::join` on this thread (an
+    /// `Arc::into_raw` reference), null before one registers,
+    /// `JOINER_CLOSED` once `on_finish` drained it. Only the handle joins,
+    /// and `join` consumes it, so one slot is enough.
+    // ordering: acqrel one word's RMW order decides a register-vs-finish race; the closing swap Releases the result to a late registrant
+    joiner: AtomicPtr<Ult>,
     /// ULT-local storage (see [`crate::tls::UltLocal`]); touched only by
     /// the thread itself with preemption pinned off.
     locals: UnsafeCell<crate::tls::LocalMap>,
@@ -189,22 +208,22 @@ impl std::fmt::Debug for Ult {
 }
 
 impl Ult {
-    /// Create a new ULT around `entry`. The context is seeded lazily on
-    /// first activation (by the scheduler) so that creation stays cheap.
-    pub(crate) fn new(
+    /// A descriptor for a new spawn — the one place the field list is
+    /// written. The context is seeded lazily on first activation (by the
+    /// scheduler) so that creation stays cheap.
+    fn fresh(
         id: u64,
-        kind: ThreadKind,
-        priority: Priority,
-        class: SchedClass,
+        attrs: &SpawnAttrs,
         home_pool: usize,
         stack: Stack,
-        entry: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Arc<Ult> {
-        Arc::new(Ult {
+        entry: Arc<dyn RunOnce>,
+        locals: crate::tls::LocalMap,
+    ) -> Ult {
+        Ult {
             id,
-            kind,
-            priority,
-            class,
+            kind: attrs.kind,
+            priority: attrs.priority,
+            class: attrs.class,
             home_pool,
             ready_at_ns: AtomicU64::new(0),
             ctx: UnsafeCell::new(Context::empty()),
@@ -213,57 +232,50 @@ impl Ult {
             state: AtomicU8::new(UltState::New as u8),
             started: AtomicBool::new(false),
             captive_klt: AtomicPtr::new(std::ptr::null_mut()),
-            join_futex: AtomicU32::new(0),
+            join_futex: AtomicU32::new(JOIN_RUNNING),
             rt: AtomicPtr::new(std::ptr::null_mut()),
             transit: AtomicBool::new(false),
             in_pool: AtomicBool::new(false),
             pool_next: AtomicPtr::new(std::ptr::null_mut()),
-            joiners_lock: crate::pool::SpinLock::new(),
-            joiners: UnsafeCell::new(Vec::new()),
-            locals: UnsafeCell::new(crate::tls::LocalMap::new()),
-        })
+            joiner: AtomicPtr::new(std::ptr::null_mut()),
+            locals: UnsafeCell::new(locals),
+        }
     }
 
-    /// Re-seed a uniquely-owned, finished descriptor for a new spawn (the
-    /// descriptor-recycling path: spawn reuses the `Arc<Ult>` allocation,
-    /// the joiner `Vec`'s capacity and the locals map's capacity instead of
-    /// allocating a fresh descriptor per thread).
-    ///
-    /// The caller proves exclusive ownership by going through
-    /// `Arc::get_mut`, which is what makes the plain-field writes sound.
-    #[allow(clippy::too_many_arguments)] // mirrors `Ult::new`; internal only
+    /// Allocate a descriptor around `entry`.
+    pub(crate) fn new(
+        id: u64,
+        attrs: &SpawnAttrs,
+        home_pool: usize,
+        stack: Stack,
+        entry: Arc<dyn RunOnce>,
+    ) -> Arc<Ult> {
+        let locals = crate::tls::LocalMap::new();
+        Arc::new(Ult::fresh(id, attrs, home_pool, stack, entry, locals))
+    }
+
+    /// Rebuild a finished descriptor in place for a new spawn, keeping its
+    /// allocation and its locals map's capacity (the caller proves it owns
+    /// the descriptor alone through `Arc::get_mut`).
     pub(crate) fn reset_for_spawn(
         this: &mut Ult,
         id: u64,
-        kind: ThreadKind,
-        priority: Priority,
-        class: SchedClass,
+        attrs: &SpawnAttrs,
         home_pool: usize,
         stack: Stack,
-        entry: Box<dyn FnOnce() + Send + 'static>,
+        entry: Arc<dyn RunOnce>,
     ) {
         debug_assert_eq!(this.state(), UltState::Finished, "recycling a live ULT");
-        this.id = id;
-        this.kind = kind;
-        this.priority = priority;
-        this.class = class;
-        this.home_pool = home_pool;
-        this.ready_at_ns.store(0, Ordering::Relaxed);
-        *this.ctx.get_mut() = Context::empty();
-        *this.stack.get_mut() = Some(stack);
-        *this.entry.get_mut() = Some(entry);
-        this.state.store(UltState::New as u8, Ordering::Release);
-        this.started.store(false, Ordering::Release);
-        this.captive_klt
-            .store(std::ptr::null_mut(), Ordering::Release);
-        this.join_futex.store(0, Ordering::Release);
-        this.rt.store(std::ptr::null_mut(), Ordering::Release);
-        this.transit.store(false, Ordering::Release);
-        this.in_pool.store(false, Ordering::Release);
-        this.pool_next
-            .store(std::ptr::null_mut(), Ordering::Release);
-        debug_assert!(this.joiners.get_mut().is_empty(), "recycling with joiners");
-        this.locals.get_mut().clear();
+        debug_assert!(this.stack.get_mut().is_none() && this.entry.get_mut().is_none());
+        let mut locals = std::mem::replace(this.locals.get_mut(), crate::tls::LocalMap::new());
+        locals.clear();
+        // The old value owns nothing now (its stack went back at finish,
+        // its packet at the epilogue, its locals just moved): forgetting
+        // it skips only `Drop`'s FREE event, which marks a deallocation.
+        std::mem::forget(std::mem::replace(
+            this,
+            Ult::fresh(id, attrs, home_pool, stack, entry, locals),
+        ));
     }
 
     /// Record the owning runtime (spawn path).
@@ -280,15 +292,37 @@ impl Ult {
     /// (without registering) if already finished — the caller must then not
     /// block.
     pub(crate) fn register_joiner(&self, j: &Arc<Ult>) -> bool {
-        self.joiners_lock.lock();
-        if self.is_finished() {
-            self.joiners_lock.unlock();
-            return false;
+        let raw = Arc::into_raw(j.clone()) as *mut Ult;
+        match self.joiner.compare_exchange(
+            std::ptr::null_mut(),
+            raw,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => true,
+            Err(seen) => {
+                debug_assert_eq!(seen, JOINER_CLOSED, "a second joiner");
+                // SAFETY: `raw` came from `into_raw` above and was not published.
+                drop(unsafe { Arc::from_raw(raw) });
+                false
+            }
         }
-        // SAFETY: under joiners_lock.
-        unsafe { (*self.joiners.get()).push(j.clone()) };
-        self.joiners_lock.unlock();
-        true
+    }
+
+    /// Close the joiner slot and take the ULT parked in it, if any (finish
+    /// path; runs after `finish()`, so a later registrant finds the slot
+    /// closed and skips blocking).
+    pub(crate) fn take_joiner(&self) -> Option<Arc<Ult>> {
+        let p = self.joiner.swap(JOINER_CLOSED, Ordering::AcqRel);
+        debug_assert_ne!(p, JOINER_CLOSED, "joiner slot drained twice");
+        // SAFETY: a non-null open slot holds a reference from `register_joiner`.
+        (!p.is_null()).then(|| unsafe { Arc::from_raw(p) })
+    }
+
+    /// Take the packet for the single activation (`ult_entry`).
+    pub(crate) fn take_entry(&self) -> Arc<dyn RunOnce> {
+        // SAFETY: only the thread's own first activation takes it.
+        unsafe { (*self.entry.get()).take() }.expect("ULT entry already taken")
     }
 
     /// Top of the ULT stack (valid from spawn until finish).
@@ -335,28 +369,16 @@ impl Ult {
         unsafe { (*self.ctx.get()).is_live() }
     }
 
-    /// Take all registered joiners (finish path; runs after `finish()` so
-    /// late registrants observe Finished and skip blocking).
-    pub(crate) fn take_joiners(&self) -> Vec<Arc<Ult>> {
-        self.joiners_lock.lock();
-        // SAFETY: under joiners_lock.
-        let v = unsafe { std::mem::take(&mut *self.joiners.get()) };
-        self.joiners_lock.unlock();
-        v
-    }
-
     /// Construct a bare ULT for data-structure tests (never scheduled).
     #[doc(hidden)]
     pub fn test_ult(id: u64) -> Arc<Ult> {
-        Ult::new(
-            id,
-            ThreadKind::Nonpreemptive,
-            Priority::High,
-            SchedClass::Normal,
-            0,
-            Stack::new(ult_arch::stack::MIN_STACK_SIZE).expect("test stack"),
-            Box::new(|| {}),
-        )
+        Ult::unscheduled(id, &SpawnAttrs::new(), 0)
+    }
+
+    /// A bare ULT with `attrs`, homed on pool `home` (never scheduled).
+    pub(crate) fn unscheduled(id: u64, attrs: &SpawnAttrs, home: usize) -> Arc<Ult> {
+        let stack = Stack::new(ult_arch::stack::MIN_STACK_SIZE).expect("test stack");
+        Ult::new(id, attrs, home, stack, Arc::new(Packet::new(|| {})))
     }
 
     /// Current life-cycle state.
@@ -375,21 +397,40 @@ impl Ult {
         self.state() == UltState::Finished
     }
 
-    /// Mark finished and wake external joiners. Runtime internal.
-    pub(crate) fn finish(&self) {
+    /// Mark finished and wake the KLTs waiting in
+    /// [`Ult::wait_finished_external`]; returns whether there were any, and
+    /// so whether a `FUTEX_WAKE` was issued. Runtime internal.
+    pub(crate) fn finish(&self) -> bool {
         self.set_state(UltState::Finished);
-        self.join_futex.store(1, Ordering::Release);
-        futex_wake(&self.join_futex, i32::MAX);
+        let waited = self.join_futex.swap(JOIN_FINISHED, Ordering::AcqRel) == JOIN_WAITED;
+        if waited {
+            futex_wake(&self.join_futex, i32::MAX);
+        }
+        waited
     }
 
     /// Block the calling **KLT** (not ULT) until this thread finishes.
     ///
     /// This is the external-joiner path used from outside the runtime (e.g.
-    /// the main thread waiting for a batch). ULTs must use
-    /// [`crate::join`] / `JoinHandle::join`, which parks the ULT instead.
+    /// the main thread waiting for a batch); any number of KLTs may wait at
+    /// once. ULTs must use `JoinHandle::join`, which parks the ULT instead.
     pub fn wait_finished_external(&self) {
-        while self.join_futex.load(Ordering::Acquire) == 0 {
-            futex_wait(&self.join_futex, 0);
+        let mut seen = self.join_futex.load(Ordering::Acquire);
+        while seen != JOIN_FINISHED {
+            // Announce the sleeper, so that `finish` knows to wake it.
+            if seen == JOIN_RUNNING {
+                if let Err(now) = self.join_futex.compare_exchange(
+                    JOIN_RUNNING,
+                    JOIN_WAITED,
+                    Ordering::Acquire,
+                    Ordering::Acquire,
+                ) {
+                    seen = now;
+                    continue;
+                }
+            }
+            futex_wait(&self.join_futex, JOIN_WAITED);
+            seen = self.join_futex.load(Ordering::Acquire);
         }
     }
 
@@ -401,22 +442,73 @@ impl Ult {
     }
 }
 
+/// The body of a spawned ULT: its [`Packet`] as the ULT sees it.
+pub(crate) trait RunOnce: Send + Sync {
+    /// Run the closure and keep its result; called once.
+    fn run(&self);
+}
+
+/// A [`Packet`] as its [`JoinHandle`] sees it.
+pub(crate) trait TakeOutput<T>: Send + Sync {
+    /// Move the result out; called once, after the ULT finished.
+    fn take(&self) -> T;
+}
+
+/// A spawned closure and, once it has run, its result: the one allocation
+/// of a spawn that finds a recycled stack and descriptor, shared by the ULT
+/// (as [`RunOnce`]) and its handle (as [`TakeOutput`]).
+pub(crate) struct Packet<F, T>(UnsafeCell<Slot<F, T>>);
+
+enum Slot<F, T> {
+    Entry(F),
+    Output(T),
+    Empty,
+}
+
+// SAFETY: the slot has one accessor at a time: the ULT from its first
+// activation until `finish()` publishes its result (Release), then the
+// joiner after it observed Finished (Acquire).
+unsafe impl<F: Send, T: Send> Sync for Packet<F, T> {}
+
+impl<F, T> Packet<F, T> {
+    /// A packet holding `f`, not yet run.
+    pub(crate) fn new(f: F) -> Packet<F, T> {
+        Packet(UnsafeCell::new(Slot::Entry(f)))
+    }
+}
+
+impl<F: FnOnce() -> T + Send, T: Send> RunOnce for Packet<F, T> {
+    fn run(&self) {
+        // SAFETY: the ULT's single activation is the slot's only accessor.
+        let slot = unsafe { &mut *self.0.get() };
+        if let Slot::Entry(f) = std::mem::replace(slot, Slot::Empty) {
+            *slot = Slot::Output(f());
+        }
+    }
+}
+
+impl<F: FnOnce() -> T + Send, T: Send> TakeOutput<T> for Packet<F, T> {
+    fn take(&self) -> T {
+        // SAFETY: the ULT finished (observed with Acquire); the consuming
+        // join is the slot's only accessor now.
+        match std::mem::replace(unsafe { &mut *self.0.get() }, Slot::Empty) {
+            Slot::Output(v) => v,
+            _ => unreachable!("joined a ULT that left no result"),
+        }
+    }
+}
+
 /// Owned handle to a spawned ULT, carrying its return value.
 ///
 /// Unlike `std::thread::JoinHandle`, joining from inside another ULT parks
-/// the joining ULT (a user-level block, ~100 ns), not the KLT.
+/// the joining ULT (a user-level block), not the KLT: the benchmark's
+/// `forkjoin` reads `core.thread.join_wait_ns` (a wave's join loop per
+/// child, the children's own run time included) at 0.76 µs on two workers
+/// of a 2-vCPU Xeon VM.
 pub struct JoinHandle<T> {
     pub(crate) ult: Arc<Ult>,
-    pub(crate) result: Arc<ResultCell<T>>,
+    pub(crate) output: Arc<dyn TakeOutput<T>>,
 }
-
-/// Shared result slot between the spawned closure and the join handle.
-pub(crate) struct ResultCell<T>(pub(crate) UnsafeCell<Option<T>>);
-
-// SAFETY: written exactly once by the spawned ULT before `finish()`
-// (release), read after observing Finished (acquire).
-unsafe impl<T: Send> Send for ResultCell<T> {}
-unsafe impl<T: Send> Sync for ResultCell<T> {}
 
 impl<T> JoinHandle<T> {
     /// The underlying ULT (for state inspection).
@@ -432,19 +524,21 @@ impl<T> JoinHandle<T> {
     /// Wait for completion and take the result.
     ///
     /// Context-sensitive: called from inside a ULT it parks the ULT
-    /// (scheduler continues with other work); called from a plain KLT (e.g.
-    /// the program's main thread) it futex-waits.
+    /// (scheduler continues with other work) and then hands the finished
+    /// descriptor to its worker for the next spawn; called from a plain KLT
+    /// (e.g. the program's main thread) it futex-waits.
     pub fn join(self) -> T {
+        let JoinHandle { ult, output } = self;
         if crate::api::in_ult() {
-            while !self.ult.is_finished() {
-                crate::api::block_on_join(&self.ult);
+            while !ult.is_finished() {
+                crate::api::block_on_join(&ult);
             }
         } else {
-            self.ult.wait_finished_external();
+            ult.wait_finished_external();
         }
-        // SAFETY: Finished was observed with Acquire; writer stored the
-        // result before the Release store in finish().
-        unsafe { (*self.result.0.get()).take().expect("result written") }
+        let v = output.take();
+        crate::runtime::recycle_joined(ult);
+        v
     }
 }
 
@@ -453,15 +547,7 @@ mod tests {
     use super::*;
 
     fn dummy_ult(kind: ThreadKind) -> Arc<Ult> {
-        Ult::new(
-            1,
-            kind,
-            Priority::High,
-            SchedClass::Normal,
-            0,
-            Stack::new(32 * 1024).unwrap(),
-            Box::new(|| {}),
-        )
+        Ult::unscheduled(1, &SpawnAttrs::new().kind(kind), 0)
     }
 
     #[test]
@@ -509,7 +595,35 @@ mod tests {
     #[test]
     fn finish_before_wait_does_not_block() {
         let t = dummy_ult(ThreadKind::Nonpreemptive);
-        t.finish();
+        assert!(!t.finish(), "a finish nobody waits for must not wake");
         t.wait_finished_external();
+    }
+
+    #[test]
+    fn finish_wakes_every_external_waiter_once() {
+        let t = dummy_ult(ThreadKind::Nonpreemptive);
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let t = t.clone();
+                std::thread::spawn(move || t.wait_finished_external())
+            })
+            .collect();
+        while t.join_futex.load(Ordering::Acquire) != JOIN_WAITED {
+            std::thread::yield_now();
+        }
+        assert!(t.finish(), "a finish with sleepers must wake them");
+        for h in waiters {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn the_packet_carries_the_result_to_the_handle() {
+        let p = Arc::new(Packet::new(|| 6 * 7));
+        let entry: Arc<dyn RunOnce> = p.clone();
+        let output: Arc<dyn TakeOutput<i32>> = p;
+        entry.run();
+        drop(entry);
+        assert_eq!(output.take(), 42);
     }
 }

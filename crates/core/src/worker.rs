@@ -128,7 +128,8 @@ pub(crate) struct Worker {
     /// global mutex-guarded cache.
     pub(crate) stack_cache: UnsafeCell<Vec<Stack>>,
     /// Per-worker slab of finished ULT descriptors awaiting reuse by the
-    /// spawn fast lane. Same owner-only access rule as `stack_cache`.
+    /// spawn fast lane, filled by the joins and detached finishes on this
+    /// worker. Same owner-only access rule as `stack_cache`.
     pub(crate) ult_cache: UnsafeCell<Vec<Arc<Ult>>>,
     /// The ULT this worker runs next, ahead of every pool: filled by
     /// `api::yield_to` from a ULT pinned on this worker, which then yields,
@@ -477,7 +478,7 @@ fn handle_return(rt: &RuntimeInner, w: &Worker, t: Arc<Ult>) {
         }
         SwitchReason::Finished => {
             crate::debug_registry::event(crate::debug_registry::ev::FINISH, t.id, w.rank as u64);
-            rt.on_finish(&t);
+            rt.on_finish(w, t);
         }
         SwitchReason::Blocked => {
             crate::debug_registry::event(crate::debug_registry::ev::BLOCK, t.id, w.rank as u64);
@@ -568,15 +569,15 @@ unsafe extern "C" fn ult_entry(arg: *mut core::ffi::c_void) -> ! {
     // Take and run the user closure. A panic would unwind into the
     // trampoline; abort instead with a clear message (matching std's
     // behavior for panics in threads that must not unwind across FFI).
-    let entry = {
-        // SAFETY: entry is taken exactly once, by the single activation.
-        unsafe { (*t.entry.get()).take().expect("ULT entry already taken") }
-    };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry));
+    let entry = t.take_entry();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry.run()));
     if result.is_err() {
         eprintln!("ult-core: ULT {} panicked; aborting process", t.id);
         std::process::abort();
     }
+    // This frame is never unwound (the switch below does not return): a
+    // packet reference still held at the switch would leak the packet.
+    drop(entry);
     // Epilogue: may be on a *different* worker than the prologue (work can
     // migrate at preemption points) — pin to block further migration
     // between resolving the worker and switching away.

@@ -4,7 +4,10 @@
 //! worker. Every spawn, every `on_finish` and every join wake-up is a push
 //! from the worker's own context, so none of them may `futex_wake` that
 //! worker or re-arm a tick no occupant could take: the counters that stand
-//! for those syscalls stay flat however many ULTs go through.
+//! for those syscalls stay flat however many ULTs go through. No finish
+//! wakes the completion futex either (nobody waits on it outside the
+//! runtime), and after the first wave every spawn reuses a descriptor its
+//! worker got back from a join.
 //!
 //! On two workers the peer is kept busy. A peer that is free to steal goes
 //! idle whenever it outruns the root, and each such park is answered by the
@@ -27,10 +30,18 @@ fn burn(seed: u64) -> u64 {
     })
 }
 
+/// Counter deltas across one fork-join run.
+struct Deltas {
+    /// Tick re-arms + elisions.
+    ticks: u64,
+    unparks: u64,
+    join_futex_wakes: u64,
+    ult_descriptor_allocs: u64,
+}
+
 /// Fork-join `ULTS` children in waves from a root ULT on one worker, every
-/// other worker spinning, and return the counter deltas
-/// `(tick re-arms + elisions, unparks)` across it.
-fn forkjoin_deltas(workers: usize) -> (u64, u64) {
+/// other worker spinning, and return the counter deltas across it.
+fn forkjoin_deltas(workers: usize) -> Deltas {
     // The default config: a 1 ms per-worker tick, so elision is in play.
     let rt = Runtime::start(Config {
         num_workers: workers,
@@ -58,7 +69,7 @@ fn forkjoin_deltas(workers: usize) -> (u64, u64) {
     }
     let ticks = |s: &RuntimeStats| s.tick_rearms + s.tick_elisions;
     let before = rt.stats();
-    rt.spawn_on(0, ThreadKind::Nonpreemptive, Priority::High, || {
+    let root = rt.spawn_on(0, ThreadKind::Nonpreemptive, Priority::High, || {
         let mut left = ULTS;
         while left > 0 {
             let n = left.min(WAVE);
@@ -72,8 +83,11 @@ fn forkjoin_deltas(workers: usize) -> (u64, u64) {
             }
             left -= n;
         }
-    })
-    .join();
+    });
+    // Spin rather than sleep on the root's completion futex: a KLT asleep
+    // there is the one waiter whose wake-up is legitimate.
+    root.ult().wait_finished_spin();
+    root.join();
     let after = rt.stats();
     done.store(true, Ordering::Release);
     for p in busy_peers {
@@ -81,20 +95,32 @@ fn forkjoin_deltas(workers: usize) -> (u64, u64) {
     }
     rt.shutdown();
     assert!(after.completed - before.completed >= ULTS);
-    (
-        ticks(&after) - ticks(&before),
-        after.unparks - before.unparks,
-    )
+    Deltas {
+        ticks: ticks(&after) - ticks(&before),
+        unparks: after.unparks - before.unparks,
+        join_futex_wakes: after.join_futex_wakes - before.join_futex_wakes,
+        ult_descriptor_allocs: after.ult_descriptor_allocs - before.ult_descriptor_allocs,
+    }
 }
 
 /// The window's only legitimate wake-ups are the root's arrival from the
-/// test thread and a worker still on its way to its first park.
-fn assert_flat((ticks, unparks): (u64, u64)) {
+/// test thread and a worker still on its way to its first park; the
+/// root's descriptor and the first wave's are its only allocations.
+fn assert_flat(d: Deltas) {
+    let ticks = d.ticks;
     assert!(
         ticks <= 8,
         "{ticks} tick re-arms + elisions for {ULTS} ULTs"
     );
+    let unparks = d.unparks;
     assert!(unparks <= 8, "{unparks} unparks for {ULTS} ULTs");
+    let wakes = d.join_futex_wakes;
+    assert_eq!(wakes, 0, "{wakes} completion-futex wakes for {ULTS} ULTs");
+    let allocs = d.ult_descriptor_allocs;
+    assert!(
+        allocs <= 2 * WAVE,
+        "{allocs} descriptor allocations for {ULTS} ULTs in waves of {WAVE}"
+    );
 }
 
 #[test]

@@ -133,7 +133,8 @@ where
         .fetch_add(1, Ordering::Relaxed);
     let (tx, rx) = oneshot::oneshot();
     // Detach the underlying ULT handle: task lifetime is tracked by the
-    // oneshot, and the ULT's own JoinHandle would otherwise pin its stack.
+    // oneshot, and a kept JoinHandle would pin the ULT's descriptor, which
+    // a detached ULT leaves to the finishing worker for its next spawn.
     drop(ult_core::api::spawn_attrs(attrs, move || {
         tx.send(catch_unwind(AssertUnwindSafe(|| block_on(fut))));
     }));

@@ -26,7 +26,7 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
-echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path, the timers and ult-io, 20x, one CPU and all"
+echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path, external joins, the timers and ult-io, 20x, one CPU and all"
 # All are races by nature (a tick inside a few-instruction window; a kick
 # racing a dispatch; a push racing the owner's park), and the one-CPU
 # interleavings differ from the rest.
@@ -43,6 +43,11 @@ for pin in "taskset -c 0" ""; do
         # A worker neither wakes itself nor re-arms for an occupant it
         # cannot preempt, and a preemptive spawner still gets its tick.
         $pin cargo test -q -p ult-core --test ready_path
+        # A join from outside the runtime races the finish it waits for
+        # (announce-then-sleep against swap-then-wake on the completion
+        # futex), several KLTs sleep on one ULT, and the nudges of an
+        # external spawner never pile up in a KLT kept off the CPU.
+        $pin cargo test -q -p ult-core --test external_join
         $pin cargo test -q -p ult-core --test preempt_latency self_spawn
         # A worker's tick handed from KLT to KLT across switches with no
         # timer created or deleted, no timer left by a stopped runtime, the
