@@ -133,7 +133,9 @@ macro_rules! counters {
             current_kind: AtomicU8, // ordering: acqrel kind mirror read by other workers' handlers
             $($(#[$wd])* pub $w: AtomicU64,)* // ordering: counter
             /// Interruption-time samples (handler entry → switch/return), ns.
-            pub interrupt_ns: SampleRing,
+            /// Boxed to keep the block at 200 bytes: at 216 it puts its
+            /// tail on the line of the `Worker` fields remote pushers read.
+            pub interrupt_ns: Box<SampleRing>,
         }
 
         impl WorkerStats {
@@ -142,7 +144,7 @@ macro_rules! counters {
                 WorkerStats {
                     current_kind: AtomicU8::new(KIND_NONE),
                     $($w: AtomicU64::new(0),)*
-                    interrupt_ns: SampleRing::new(samples),
+                    interrupt_ns: Box::new(SampleRing::new(samples)),
                 }
             }
 
@@ -232,6 +234,15 @@ macro_rules! counters {
 
 counters! {
     worker {
+        // First: the block lays its fields out in table order after the
+        // boxed ring, so these two fill the bytes the ring's header freed
+        // and every other counter keeps its place in `Worker`'s lines.
+        /// Idle waits that parked (on the futex or in the shard's
+        /// `epoll_wait`), having found no work by spinning.
+        idle_parks,
+        /// Time idle waits spent spinning on the worker's own pools before
+        /// parking or finding work, ns.
+        idle_spin_ns,
         /// Completed preemptions (both techniques).
         preemptions,
         /// Preemptions performed via KLT-switching.

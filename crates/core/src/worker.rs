@@ -38,11 +38,22 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use ult_arch::{CacheAligned, Context, Stack};
+use ult_sys::clock::now_ns;
 use ult_sys::futex::Futex;
 
 /// Capacity of each worker-local KLT pool (paper §3.3.2); released KLTs
 /// beyond it overflow to the global pool.
 const LOCAL_KLT_POOL_CAP: usize = 4;
+
+/// Longest idle park that counts as short: about one full idle spin plus
+/// one reactor wake (`io.reactor.wake_ns` reads 25–34 µs on a 2-vCPU Xeon
+/// VM). Work that ends a park this soon is worth spinning for.
+const SHORT_PARK_NS: u64 = 50_000;
+/// Cap of the idle spin, in `PAUSE`s: 5–6 µs at the 19–26 ns a `PAUSE`
+/// takes on that VM.
+const IDLE_SPIN_MAX: u32 = 256;
+/// Smallest nonzero idle spin, the first step up from none.
+const IDLE_SPIN_MIN: u32 = 16;
 
 /// Why control returned from a ULT to the scheduler context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +117,9 @@ pub(crate) struct Worker {
     pub wake: Futex,
     /// Set while parked idle (lets push paths find sleepers to wake).
     pub idle: AtomicBool, // ordering: acqrel
+    /// `PAUSE`s the next idle wait spins before it parks, learned from how
+    /// long the last parks lasted (`next_idle_spin`).
+    idle_spin: AtomicU32, // ordering: relaxed owner-only: the worker's scheduler context, one KLT at a time
     /// Set while parked (or committing to park) in this worker's reactor
     /// shard instead of on the futex. Dekker-paired with `unpark_kick`: the
     /// parker stores the flag, fences, then consumes any futex token; the
@@ -163,6 +177,7 @@ impl Worker {
             local_klts: crate::klt::KltPool::new(LOCAL_KLT_POOL_CAP),
             wake: Futex::new(),
             idle: AtomicBool::new(false),
+            idle_spin: AtomicU32::new(IDLE_SPIN_MAX),
             reactor_park: AtomicBool::new(false),
             tick: Tick::default(),
             stats: WorkerStats::new(stat_samples),
@@ -321,14 +336,29 @@ fn scheduler_loop(w: &Worker) -> ! {
     }
 }
 
-/// Park briefly when no work exists anywhere (woken by pushes/shutdown).
+/// Wait for work when none exists anywhere (woken by pushes/shutdown):
+/// spin on the worker's own pools, then park.
+///
+/// The spin pays only when work comes back within it, and how soon work
+/// comes back is what the worker's last parks measured: a closed loop (a
+/// peer that pushes again at once) ends its parks within
+/// [`SHORT_PARK_NS`], an open-loop server idle between requests does not.
+/// So the spin is learned per worker as guest halt-polling learns its poll
+/// (`next_idle_spin`), and a worker whose parks run long parks at once.
 fn idle_wait(rt: &RuntimeInner, w: &Worker) {
-    // Bounded spin first: work often arrives within microseconds.
-    for _ in 0..256 {
-        if !w.pool.is_empty() || !w.lo_pool.is_empty() || rt.shutdown.load(Ordering::Acquire) {
+    let spin = w.idle_spin.load(Ordering::Relaxed);
+    if spin > 0 {
+        let t0 = now_ns();
+        let found = (0..spin).any(|_| {
+            core::hint::spin_loop();
+            !w.pool.is_empty() || !w.lo_pool.is_empty() || rt.shutdown.load(Ordering::Acquire)
+        });
+        w.stats
+            .idle_spin_ns
+            .fetch_add(now_ns() - t0, Ordering::Relaxed);
+        if found {
             return;
         }
-        core::hint::spin_loop();
     }
     w.idle.store(true, Ordering::SeqCst);
     // Store-load ordering against the push side (Dekker): the pusher
@@ -342,16 +372,32 @@ fn idle_wait(rt: &RuntimeInner, w: &Worker) {
         return;
     }
     tick::try_elide(rt, w);
+    let t0 = now_ns();
     // Third park mode: if a reactor is registered, park in this worker's
     // own shard's `epoll_wait` (servicing its fds and timer wheel) instead
     // of the futex. Every idle worker shard-parks — shards are per-worker,
     // so there is no poller slot to contend for.
-    if crate::io_hook::shard_park(rt, w, true) {
-        w.idle.store(false, Ordering::Release);
-        return;
+    if !crate::io_hook::shard_park(rt, w, true) {
+        w.wake.park();
     }
-    w.wake.park();
     w.idle.store(false, Ordering::Release);
+    w.stats.idle_parks.fetch_add(1, Ordering::Relaxed);
+    w.idle_spin
+        .store(next_idle_spin(spin, now_ns() - t0), Ordering::Relaxed);
+}
+
+/// The idle spin after a park of `park_ns` that followed a spin of `spin`
+/// `PAUSE`s: a short park (one that returned at once included) doubles it
+/// up to [`IDLE_SPIN_MAX`]; a longer one halves it, to none below
+/// [`IDLE_SPIN_MIN`].
+fn next_idle_spin(spin: u32, park_ns: u64) -> u32 {
+    if park_ns <= SHORT_PARK_NS {
+        (spin * 2).clamp(IDLE_SPIN_MIN, IDLE_SPIN_MAX)
+    } else if spin / 2 < IDLE_SPIN_MIN {
+        0
+    } else {
+        spin / 2
+    }
 }
 
 /// Run one ULT: dispatches to the captive-resume path for KLT-switching
@@ -590,4 +636,39 @@ unsafe extern "C" fn ult_entry(arg: *mut core::ffi::c_void) -> ! {
         Context::switch(&mut dead, w.sched_ctx.get());
     }
     unreachable!("finished ULT resumed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The spins after each of `n` parks of `park_ns`, starting at `spin`.
+    fn after(n: usize, park_ns: u64, spin: u32) -> Vec<u32> {
+        std::iter::successors(Some(spin), |&s| Some(next_idle_spin(s, park_ns)))
+            .skip(1)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn long_parks_stop_the_idle_spin() {
+        let spins = after(16, 500_000, IDLE_SPIN_MAX);
+        assert_eq!(spins.last(), Some(&0), "{spins:?}");
+        assert!(spins.windows(2).all(|p| p[1] <= p[0]), "{spins:?}");
+    }
+
+    #[test]
+    fn short_parks_bring_the_idle_spin_back_to_its_cap() {
+        let spins = after(16, 10_000, 0);
+        assert_eq!(spins.last(), Some(&IDLE_SPIN_MAX), "{spins:?}");
+        assert!(spins.iter().all(|&s| s <= IDLE_SPIN_MAX), "{spins:?}");
+        assert_eq!(next_idle_spin(IDLE_SPIN_MAX, 10_000), IDLE_SPIN_MAX);
+    }
+
+    #[test]
+    fn a_park_that_returns_at_once_is_short() {
+        assert_eq!(next_idle_spin(0, 0), IDLE_SPIN_MIN);
+        assert_eq!(next_idle_spin(IDLE_SPIN_MIN, 0), 2 * IDLE_SPIN_MIN);
+        assert_eq!(next_idle_spin(IDLE_SPIN_MIN, SHORT_PARK_NS + 1), 0);
+    }
 }

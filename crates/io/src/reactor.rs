@@ -26,9 +26,10 @@
 //!   and by deadline inserts that become a shard's new earliest.
 //! * **poll(r, force)** — a zero-timeout service pass of shard `r` from
 //!   busy scheduler loops, rate-limited unless forced, so fds and timers
-//!   make progress even when worker `r` never idles. Under preemption its
-//!   cadence is bounded by the tick interval, which is what wheel deadlines
-//!   on a busy worker get.
+//!   make progress even when worker `r` never idles. A park counts as a
+//!   poll: it restarts the rate limit. Under preemption its cadence is
+//!   bounded by the tick interval, which is what wheel deadlines on a busy
+//!   worker get.
 //! * **watch(r, owner)** — fd readiness on a busy worker does not wait for
 //!   that tick. One process-global **watcher** thread blocks on a
 //!   meta-epoll holding every watched shard's epoll fd (`EPOLLIN |
@@ -337,6 +338,10 @@ fn park_hook(r: usize) -> bool {
     }
     sh.counters.io_parks.fetch_add(1, Ordering::Relaxed);
     sh.service(timeout);
+    // The park was this shard's poll: the dispatch it returns to need not
+    // `epoll_wait(0)` again before the rate limit says so.
+    sh.next_poll_ns
+        .store(ult_sys::now_ns() + POLL_INTERVAL_NS, Ordering::Relaxed);
     true
 }
 

@@ -1,9 +1,107 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper into results/.
 # Pass --quick for a fast smoke pass (smaller sweeps, fewer repetitions).
+# Pass --soak N to run only the stress list below N times on one CPU and N
+# times on all of them, recording every failure in results/flakes.json.
 set -euo pipefail
 cd "$(dirname "$0")"
 MODE="${1:-}"
+
+# The stress list: `cargo test -q -p` arguments, each a race by nature (a
+# tick inside a few-instruction window; a kick racing a dispatch; a push
+# racing the owner's park), whose one-CPU interleavings differ from the rest.
+STRESS=(
+    "integration-tests --test integration sync_primitives_survive_preemptive_ults"
+    "integration-tests --test io busy_worker_echo_beats_the_tick"
+    "ult-sync --test sync_ult --test timeout"
+    # The future driver's wake-vs-park race and the readiness-vs-deadline
+    # claim now carry every blocking socket op and timed wait; an idle
+    # worker's spin and polls follow how long its parks last.
+    "ult-io"
+    # A worker neither wakes itself nor re-arms for an occupant it cannot
+    # preempt, and a preemptive spawner still gets its tick.
+    "ult-core --test ready_path"
+    # A join from outside the runtime races the finish it waits for
+    # (announce-then-sleep against swap-then-wake on the completion futex),
+    # several KLTs sleep on one ULT, and the nudges of an external spawner
+    # never pile up in a KLT kept off the CPU.
+    "ult-core --test external_join"
+    "ult-core --test preempt_latency self_spawn"
+    # A worker's tick handed from KLT to KLT across switches with no timer
+    # created or deleted, no timer left by a stopped runtime, the tick as
+    # debug_state reports it, and a worker whose timer_create fails running
+    # on without ticks.
+    "ult-core --test timers"
+    # The run-next slot an McsMutex grant fills: picked first under every
+    # policy, never stranded on a packing-suspended worker, never a
+    # priority inversion.
+    "ult-core --lib run_next"
+    # The POSIX interval timers on the shared test signal: a tick from one
+    # test must never land in another's quiescence window.
+    "ult-sys --lib timer::"
+)
+
+# Build every test binary of the stress list once, up front.
+build_stress() {
+    cargo test -q -p integration-tests -p ult-sync -p ult-io -p ult-core -p ult-sys --no-run
+}
+
+if [ "$MODE" = "--soak" ]; then
+    RUNS="${2:?usage: run_all.sh --soak N}"
+    build_stress
+    mkdir -p results
+    LEDGER=$(mktemp -d)
+    trap 'rm -rf "$LEDGER"' EXIT
+    for pin in "taskset -c 0" ""; do
+        for i in $(seq "$RUNS"); do
+            echo "== soak: ${pin:-all CPUs}, round $i of $RUNS"
+            for n in "${!STRESS[@]}"; do
+                echo "$n ${pin:+1}" >>"$LEDGER/runs"
+                if ! $pin cargo test -q -p ${STRESS[$n]} >"$LEDGER/out" 2>&1; then
+                    echo "$n ${pin:+1}" >>"$LEDGER/fails"
+                    first="$LEDGER/first.$n.${pin:+1}"
+                    [ -e "$first" ] || tail -c 4000 "$LEDGER/out" >"$first"
+                    echo "   FAILED: ${pin:-all CPUs} cargo test -p ${STRESS[$n]}"
+                fi
+            done
+        done
+    done
+    python3 - "$LEDGER" "${STRESS[@]}" <<'PY' >results/flakes.json
+import collections, json, os, sys
+ledger, stress = sys.argv[1], sys.argv[2:]
+def count(name):
+    path = os.path.join(ledger, name)
+    lines = open(path).read().splitlines() if os.path.exists(path) else []
+    return collections.Counter(lines)
+runs, fails = count("runs"), count("fails")
+rows = []
+for n, entry in enumerate(stress):
+    args = iter(entry.split())
+    binary, tests = [next(args)], []
+    for a in args:
+        if a == "--test":
+            binary += [a, next(args)]
+        elif a.startswith("--"):
+            binary.append(a)
+        else:
+            tests.append(a)
+    for pinned, cpus in (("1", "taskset -c 0"), ("", "all")):
+        key = f"{n} {pinned}"
+        first = os.path.join(ledger, f"first.{n}.{pinned}")
+        rows.append({
+            "binary": " ".join(binary),
+            "test": " ".join(tests) or "all",
+            "cpus": cpus,
+            "runs": runs[key],
+            "failures": fails[key],
+            "first_failure": open(first).read() if os.path.exists(first) else None,
+        })
+json.dump(rows, sys.stdout, indent=1)
+print()
+PY
+    echo "== soak: $(grep -c . "$LEDGER/fails" 2>/dev/null || echo 0) failures; ledger in results/flakes.json"
+    exit 0
+fi
 
 echo "== lint gates: all six ult-verify passes (closure, callgraph, ordering,"
 echo "==             blocking, pindiscipline, lockorder), JSON + trend report"
@@ -26,41 +124,13 @@ cargo test -q -p ult-io
 cargo test -q -p ult-sync --test timeout
 cargo test -q -p integration-tests --test io
 
-echo "== stress: sync primitives under preemption, the busy-worker echo, the ready path, external joins, the timers and ult-io, 20x, one CPU and all"
-# All are races by nature (a tick inside a few-instruction window; a kick
-# racing a dispatch; a push racing the owner's park), and the one-CPU
-# interleavings differ from the rest.
-cargo test -q -p integration-tests --no-run
+echo "== stress: the stress list above, 20x, one CPU and all"
+build_stress
 for pin in "taskset -c 0" ""; do
     for _ in $(seq 20); do
-        $pin cargo test -q -p integration-tests --test integration \
-            sync_primitives_survive_preemptive_ults
-        $pin cargo test -q -p integration-tests --test io busy_worker_echo_beats_the_tick
-        $pin cargo test -q -p ult-sync --test sync_ult --test timeout
-        # The future driver's wake-vs-park race and the readiness-vs-deadline
-        # claim now carry every blocking socket op and timed wait.
-        $pin cargo test -q -p ult-io
-        # A worker neither wakes itself nor re-arms for an occupant it
-        # cannot preempt, and a preemptive spawner still gets its tick.
-        $pin cargo test -q -p ult-core --test ready_path
-        # A join from outside the runtime races the finish it waits for
-        # (announce-then-sleep against swap-then-wake on the completion
-        # futex), several KLTs sleep on one ULT, and the nudges of an
-        # external spawner never pile up in a KLT kept off the CPU.
-        $pin cargo test -q -p ult-core --test external_join
-        $pin cargo test -q -p ult-core --test preempt_latency self_spawn
-        # A worker's tick handed from KLT to KLT across switches with no
-        # timer created or deleted, no timer left by a stopped runtime, the
-        # tick as debug_state reports it, and a worker whose timer_create
-        # fails running on without ticks.
-        $pin cargo test -q -p ult-core --test timers
-        # The run-next slot an McsMutex grant fills: picked first under
-        # every policy, never stranded on a packing-suspended worker, never
-        # a priority inversion.
-        $pin cargo test -q -p ult-core --lib run_next
-        # The POSIX interval timers on the shared test signal: a tick from
-        # one test must never land in another's quiescence window.
-        $pin cargo test -q -p ult-sys --lib timer::
+        for entry in "${STRESS[@]}"; do
+            $pin cargo test -q -p $entry
+        done
     done
 done
 # The wait queue under every ult-sync primitive: re-check under the lock and
